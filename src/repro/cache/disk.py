@@ -8,11 +8,11 @@ new:
 * **touch-on-hit** — a validated load best-effort bumps the entry's
   mtime, so ``gc``'s oldest-mtime-first ordering is true LRU instead of
   FIFO (before this, nothing ever touched mtime after the write);
-* **corrupt-entry quarantine** — an entry that fails JSON decoding is
-  renamed to ``<entry>.corrupt`` (best-effort) and reported through the
-  ``on_corrupt`` hook, instead of being re-read and re-failed on every
-  future lookup.  Quarantined files are still counted and evictable by
-  ``gc``.
+* **corrupt-entry quarantine** — an entry that fails UTF-8 or JSON
+  decoding is renamed to ``<entry>.corrupt`` (best-effort) and reported
+  through the ``on_corrupt`` hook, instead of being re-read and
+  re-failed on every future lookup.  Quarantined files are still
+  counted and evictable by ``gc``.
 """
 
 from __future__ import annotations
@@ -105,12 +105,11 @@ class ResultCache:
 
     def _read_validated(self, path: Path, **expect: Any) -> dict[str, Any] | None:
         try:
-            text = path.read_text()
+            entry = json.loads(path.read_text())
         except FileNotFoundError:
             return None
-        try:
-            entry = json.loads(text)
-        except json.JSONDecodeError:
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            # Bytes that are not UTF-8 are as corrupt as a torn write.
             self._quarantine(path)
             return None
         if not validate_entry(entry, **expect):

@@ -304,6 +304,10 @@ class RecordStore:
         retried_failures: list[FailedRunRecord] | None = None,
     ):
         self._records: list[RunRecord] = list(records or [])
+        # Checkpoint JSON text of ``_records[:len(_rows)]``, each row
+        # encoded once by the first write_json after its append.  Sound
+        # because records are frozen and the store only grows.
+        self._rows: list[str] = []
         self.failures: list[FailedRunRecord] = list(failures or [])
         # Failures from earlier attempts that a resume re-executed: the
         # campaign's full failure history, kept out of ``failures`` so
@@ -426,20 +430,34 @@ class RecordStore:
         return store
 
     def write_json(self, path: str | Path) -> None:
-        """Checkpoint the full store (records AND failures), crash-safely."""
-        payload = {
-            "records": [r.to_row() for r in self._records],
-            "failures": [f.to_dict() for f in self.failures],
-            "retried_failures": [f.to_dict() for f in self.retried_failures],
-        }
-        _atomic_write(Path(path), lambda fh: json.dump(payload, fh))
+        """Checkpoint the full store (records AND failures), crash-safely.
+
+        The bytes are ``json.dumps`` of ``{"records": [rows], "failures":
+        [...], "retried_failures": [...]}``, assembled from the cached
+        row texts so a checkpoint only encodes the records appended
+        since the last one.  The failure lists are public and mutable,
+        so they are encoded afresh every time.
+        """
+        rows = self._rows
+        for record in self._records[len(rows):]:
+            rows.append(json.dumps(record.to_row()))
+        body = (
+            '{"records": ['
+            + ", ".join(rows)
+            + '], "failures": '
+            + json.dumps([f.to_dict() for f in self.failures])
+            + ', "retried_failures": '
+            + json.dumps([f.to_dict() for f in self.retried_failures])
+            + "}"
+        )
+        _atomic_write(Path(path), lambda fh: fh.write(body))
 
     @classmethod
     def read_json(cls, path: str | Path) -> "RecordStore":
         try:
             with Path(path).open() as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
         try:
             return cls(

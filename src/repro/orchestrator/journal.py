@@ -135,23 +135,24 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Replay a journal tolerantly: ``(records, torn_lines)``.
 
     A line that fails to decode — the torn tail of a crashed append, or
-    interior corruption — is counted and skipped, never raised: the
-    journal is an optimization over re-executing work, so a damaged
-    record must degrade to "that work is requeued", not to a crash.
-    A missing file is simply an empty journal.
+    interior corruption, including bytes that are not UTF-8 — is
+    counted and skipped, never raised: the journal is an optimization
+    over re-executing work, so a damaged record must degrade to "that
+    work is requeued", not to a crash.  A missing file is simply an
+    empty journal.
     """
     records: list[dict[str, Any]] = []
     torn = 0
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError:
         return records, torn
-    for line in text.splitlines():
-        if not line.strip():
+    for raw in data.splitlines():
+        if not raw.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             torn += 1
             continue
         if isinstance(obj, dict):

@@ -10,6 +10,7 @@ import pytest
 from repro.methodology.parallel import ParallelProtocolRunner
 from repro.methodology.records import RecordStore
 from repro.methodology.runner import ProtocolRunner
+from repro.telemetry.bus import session
 
 from tests.methodology.test_parallel import (
     DeterministicExecutor,
@@ -47,6 +48,17 @@ class TestCorruptedCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text("this is not json {{{")
         store = make_runner(workers, checkpoint_path=path).resume(plan)
+        assert len(store) == plan.num_runs
+
+    def test_undecodable_checkpoint_resumes_fresh(self, tmp_path, workers):
+        plan = two_spec_plan()
+        path = tmp_path / "ckpt.json"
+        make_runner(workers, checkpoint_path=path).run(plan)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:40] + b"\xff" + blob[41:])
+        with session(ring=4096) as bus:
+            store = make_runner(workers, checkpoint_path=path).resume(plan)
+            assert len(bus.ring.select("checkpoint.corrupt")) == 1
         assert len(store) == plan.num_runs
 
 

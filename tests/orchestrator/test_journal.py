@@ -45,6 +45,13 @@ class TestJournal:
         assert [r["op"] for r in records] == ["a", "b"]
         assert torn == 1
 
+    def test_undecodable_line_counted_as_torn(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b'{"op": "a"}\n{"op": "\xff"}\n\xfe\xff\n{"op": "b"}\n')
+        records, torn = read_records(path)
+        assert [r["op"] for r in records] == ["a", "b"]
+        assert torn == 2
+
     def test_missing_file_reads_empty(self, tmp_path):
         records, torn = read_records(tmp_path / "nope.jsonl")
         assert records == [] and torn == 0

@@ -102,6 +102,22 @@ class TestResultCache:
         assert path.with_name(path.name + ".corrupt").exists()
         assert path.exists()
 
+    def test_undecodable_entry_degrades_to_miss(self, tmp_path):
+        spec = _spec()
+        svc = get_service()
+        cold = svc.run(spec, 0, cache_dir=tmp_path)
+        path = ResultCache(tmp_path).path_for(spec, 0)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:20] + b"\xff" + blob[21:])
+        svc.drop_memory_tiers(tmp_path)
+        before = service.cache_stats()
+        again = svc.run(spec, 0, cache_dir=tmp_path)
+        stats = _delta(before, service.cache_stats())
+        assert stats["miss"] == 1 and stats["corrupt"] == 1 and stats["error"] == 0
+        assert result_fingerprint(again) == result_fingerprint(cold)
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert path.exists()
+
     def test_entry_header_mismatch_degrades_to_miss(self, tmp_path):
         spec = _spec()
         svc = get_service()
