@@ -53,10 +53,6 @@ from .telemetry.trace import root_context, trace_id_for, trace_scope
 
 __all__ = ["RemoteClient", "RemoteExecutor", "remote_run_specs"]
 
-# Envelope keys stripped before replaying returned events on the local
-# bus (the same convention as the service's cache-hit path).
-_ENVELOPE_KEYS = ("schema", "seq", "event", "t")
-
 # Default retry budget: generous enough to bridge a server SIGKILL +
 # restart (seconds), small enough that a truly dead server fails over
 # to local fallback promptly.
@@ -348,12 +344,7 @@ class RemoteClient:
                     f"remote run ({scenario.fingerprint[:12]}, rep {rep}) failed: "
                     f"{frame.get('error')}"
                 )
-            if bus.enabled:
-                for event in frame.get("events") or ():
-                    payload = {
-                        k: v for k, v in event.items() if k not in _ENVELOPE_KEYS
-                    }
-                    bus.emit(event["event"], t=event.get("t"), **payload)
+            bus.replay(frame.get("events") or ())
             return result_from_jsonable(frame["result"])
 
     def ping(self) -> dict[str, Any]:

@@ -4,10 +4,15 @@ The engines honour one contract the whole methodology layer is built
 on: *the repetition index fully determines a run's randomness*.  Runs
 therefore need no shared state, and a campaign is an embarrassingly
 parallel bag of (spec, rep) pairs.  :class:`ParallelProtocolRunner`
-exploits exactly that — and nothing more:
+exploits exactly that — and nothing more.  It does not walk the plan:
+:meth:`~repro.methodology.runner.ProtocolRunner.run` is the one walk at
+every worker count, and this module only changes where the outcome of a
+run comes from:
 
-* every pending (spec, rep) pair is executed in a supervised worker
-  process (raw :mod:`multiprocessing` workers, one duplex pipe each);
+* prefetched cache hits still resolve inline in the parent, at their
+  merge position; every other pending (spec, rep) pair is executed in
+  a supervised worker process (raw :mod:`multiprocessing` workers, one
+  duplex pipe each), and the walk waits for its reply by ordinal;
   dispatch is *batched*: each message hands a worker a chunk of runs
   (sized adaptively from queue depth and worker count, specs deduped
   per batch) instead of one, so per-run IPC and scheduling overhead is
@@ -17,15 +22,12 @@ exploits exactly that — and nothing more:
   before the ``prog`` progress marker is sent), and the parent reads
   complete frames incrementally — a worker killed mid-batch loses only
   its unfinished runs, finished frames are salvaged from the spool;
-* outcomes are merged in the parent **in protocol order**, so the
-  resulting :class:`~repro.methodology.records.RecordStore` — records,
-  simulated wall clock, block indices, checkpoints — is byte-identical
-  to what the serial :class:`~repro.methodology.runner.ProtocolRunner`
-  produces, and replay fingerprints match;
-* failure policies (``on_error``, ``on_violation``), checkpointing and
-  :meth:`resume` behave exactly as in the serial runner, because the
-  merge path *is* the serial runner's
-  :meth:`~repro.methodology.runner.ProtocolRunner._merge`.
+* the walk merges every outcome **in protocol order**, so the resulting
+  :class:`~repro.methodology.records.RecordStore` — records, simulated
+  wall clock, block indices, checkpoints — is byte-identical to a
+  serial campaign's, and replay fingerprints match; failure policies,
+  checkpointing, journaling, tracing and :meth:`resume` are the serial
+  runner's by construction.
 
 On top of that contract sits the supervision layer of
 :mod:`repro.orchestrator`:
@@ -43,10 +45,11 @@ On top of that contract sits the supervision layer of
 * dispatch is admission-controlled to a bounded window ahead of the
   merge frontier, so a slow run applies backpressure instead of letting
   completed-but-unmergeable results pile up without bound;
-* when a ``checkpoint_path`` is configured, every (spec, rep) job is
-  journaled in a :class:`~repro.orchestrator.queue.DurableJobQueue`
-  next to the checkpoint, and SIGINT/SIGTERM drain in-flight work,
-  checkpoint, and raise :class:`~repro.errors.CampaignInterrupted`.
+* with a ``checkpoint_path``, dispatch leases each batch's jobs in the
+  campaign's :class:`~repro.orchestrator.queue.DurableJobQueue` with one
+  fsync, and SIGINT/SIGTERM stop dispatch and drain in-flight work
+  before the walk checkpoints and raises
+  :class:`~repro.errors.CampaignInterrupted`.
 
 Workers run with a fresh, parent-independent telemetry bus: engine
 events are captured in an in-memory ring, shipped back with the
@@ -76,27 +79,22 @@ import tempfile
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Iterator
 
-from ..errors import CampaignInterrupted, ExperimentError
+from ..errors import ExperimentError
 from ..orchestrator.interrupts import pending_signal
 from ..orchestrator.supervise import SupervisionPolicy
-from ..telemetry.bus import EventBus, RingBufferSink, get_bus, set_bus
+from ..telemetry.bus import RUN_RING_CAPACITY, EventBus, RingBufferSink, get_bus, set_bus
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import SpanProfiler, get_profiler, set_profiler
-from ..telemetry.trace import trace_scope
-from .plan import ExperimentPlan, ExperimentSpec, PlannedRun
-from .records import RecordStore
+from .plan import ExperimentSpec, PlannedRun
 from .runner import Executor, ProtocolRunner, RunOutcome, execute_outcome
 
 __all__ = ["ParallelProtocolRunner"]
-
-# Per-task ring capacity: engine-level events of one run (debug level
-# can emit one per fluid segment).
-_WORKER_RING_CAPACITY = 65536
 
 # Module-level worker state, populated by the worker initializer.
 _WORKER: dict[str, Any] = {}
@@ -134,7 +132,7 @@ def _worker_init(executor: Executor, level: str, capture: bool) -> None:
     """
     bus = EventBus(level=level)
     if capture:
-        bus.ring = bus.attach(RingBufferSink(_WORKER_RING_CAPACITY))
+        bus.ring = bus.attach(RingBufferSink(RUN_RING_CAPACITY))
     set_bus(bus)
     set_profiler(SpanProfiler(enabled=False))
     _WORKER["executor"] = executor
@@ -257,14 +255,9 @@ class _Task:
 
     ordinal: int
     planned: PlannedRun
-    block: int
     attempts: int = 0
     not_before: float = 0.0
     dispatched: bool = False
-    discarded: bool = False
-    # Prefetched cache hit: resolved in-parent at merge position, never
-    # dispatched to a worker.
-    local: bool = False
 
 
 @dataclass
@@ -291,15 +284,18 @@ class _WorkerHandle:
 
 
 class _Supervisor:
-    """Dispatches tasks to worker processes and polices their liveness."""
+    """Dispatches tasks to worker processes and polices their liveness.
+
+    It is the outcome source of :meth:`ProtocolRunner.run` for the runs
+    that are not resolved inline: the walk asks :meth:`wait` for each
+    run's reply by ordinal and merges it inside :meth:`replayed`.
+    """
 
     def __init__(
         self,
         runner: "ParallelProtocolRunner",
         bus: Any,
         queue: Any,
-        stats: dict[str, int],
-        worker_ids: dict[int, int],
         spool_dir: Path,
     ):
         self.runner = runner
@@ -307,12 +303,14 @@ class _Supervisor:
         self.n_workers = runner.n_workers
         self.bus = bus
         self.queue = queue
-        self.stats = stats
-        self.worker_ids = worker_ids
+        self.stats = runner.supervision_stats
+        # Worker pid -> dense id, for the ``worker`` field of events.
+        self.worker_ids: dict[int, int] = {}
         self.spool_dir = spool_dir
         self.ctx = _pool_context()
         self.window = self.policy.window_for(self.n_workers)
         self.workers: list[_WorkerHandle] = []
+        self.tasks: dict[int, _Task] = {}
         self.pending: deque[_Task] = deque()
         self.delayed: list[_Task] = []
         self.requeue_ready: list[_Task] = []
@@ -356,11 +354,12 @@ class _Supervisor:
         self.worker_ids.setdefault(process.pid, len(self.worker_ids))
         return handle
 
-    def start(self) -> None:
-        if self._outstanding() == 0:
-            return  # fully prefetched/recorded campaign: nothing to dispatch
-        want = min(self.n_workers, max(1, self._outstanding()))
-        for _ in range(want):
+    def start(self, jobs: list[tuple[int, PlannedRun]]) -> None:
+        """Queue the (ordinal, run) jobs and spawn workers for them."""
+        for ordinal, planned in jobs:
+            task = self.tasks[ordinal] = _Task(ordinal, planned)
+            self.pending.append(task)
+        for _ in range(min(self.n_workers, self._outstanding())):
             self._spawn()
 
     def _outstanding(self) -> int:
@@ -594,7 +593,7 @@ class _Supervisor:
     def _promote_delayed(self, now: float) -> None:
         still: list[_Task] = []
         for task in self.delayed:
-            if task.ordinal in self.results or task.discarded:
+            if task.ordinal in self.results:
                 continue
             if now >= task.not_before:
                 self.requeue_ready.append(task)
@@ -608,7 +607,7 @@ class _Supervisor:
             return self.requeue_ready.pop(0)
         while self.pending:
             task = self.pending[0]
-            if task.discarded or task.ordinal in self.results:
+            if task.ordinal in self.results:
                 self.pending.popleft()
                 continue
             if task.ordinal >= self.frontier + self.window:
@@ -734,6 +733,59 @@ class _Supervisor:
         self._dispatch(now)
         self._maybe_respawn()
 
+    # -- the outcome source ------------------------------------------------
+
+    def wait(self, ordinal: int) -> _WorkerReply | None:
+        """Supervise until the reply for ``ordinal`` lands.
+
+        Every ordinal below it has been merged, which is the frontier
+        admission control keeps dispatch near.  Returns None once a
+        drain leaves nothing in flight that could still produce it.
+        """
+        self.frontier = ordinal
+        task = self.tasks[ordinal]
+        while True:
+            reply = self.results.pop(ordinal, None)
+            if reply is not None:
+                return reply
+            if self.draining and not task.dispatched:
+                return None
+            self.tick()
+
+    @contextmanager
+    def replayed(self, reply: _WorkerReply, planned: PlannedRun) -> Iterator[RunOutcome]:
+        """A worker's outcome, merged between ``worker.start``/``worker.end``.
+
+        The worker's captured engine events are replayed in between,
+        tagged with its dense ``worker`` id, and its metrics, cache tally
+        and execution time are folded into the parent's.
+        """
+        from .. import service as _service
+
+        bus = self.bus
+        worker = self.worker_ids.setdefault(reply.pid, len(self.worker_ids))
+        attribution = {
+            "worker": worker,
+            "spec": planned.spec.key,
+            "rep": planned.rep,
+            "seed": self.runner.seed,
+        }
+        if reply.cache_stats:
+            _service.add_cache_stats(reply.cache_stats)
+        if bus.enabled:
+            bus.emit("worker.start", **attribution)
+            bus.replay(reply.events, worker=worker)
+            if reply.metrics is not None:
+                bus.metrics.merge(reply.metrics)
+        get_profiler().record("executor.run", reply.elapsed_s)
+        outcome = reply.outcome
+        yield outcome
+        if bus.enabled:
+            status = "ok" if outcome.ok else ("quarantined" if outcome.violation else "failed")
+            bus.emit(
+                "worker.end", **attribution, status=status, elapsed_s=float(reply.elapsed_s)
+            )
+
     def shutdown(self) -> None:
         for handle in list(self.workers):
             try:
@@ -754,7 +806,7 @@ class _Supervisor:
 
 
 class ParallelProtocolRunner(ProtocolRunner):
-    """A :class:`ProtocolRunner` that executes runs in supervised workers."""
+    """A :class:`ProtocolRunner` whose cache misses run in supervised workers."""
 
     def __init__(
         self,
@@ -766,7 +818,6 @@ class ParallelProtocolRunner(ProtocolRunner):
         on_violation: str = "skip",
         seed: int | None = None,
         policy: SupervisionPolicy | None = None,
-        supervise: bool | None = None,
     ):
         super().__init__(
             executor,
@@ -784,270 +835,21 @@ class ParallelProtocolRunner(ProtocolRunner):
         # to the executor's campaign seed when it exposes one.
         self.seed = int(seed if seed is not None else getattr(executor, "seed", 0) or 0)
         self.policy = policy if policy is not None else SupervisionPolicy()
-        # n_workers == 1 normally falls back to the (faster) in-process
-        # serial path; supervise=True forces worker processes anyway so
-        # single-worker campaigns get timeouts and crash isolation too.
-        self.force_supervise = bool(supervise)
-        # Batched-dispatch accounting from the last supervised run():
-        # batches/jobs dispatched, spool frames/bytes transferred, and
-        # the parent-side dispatch overhead in seconds.
+        # Batched-dispatch accounting from the last run(): batches/jobs
+        # dispatched, spool frames/bytes transferred, and the
+        # parent-side dispatch overhead in seconds.
         self.transfer_stats: dict[str, float] = {}
 
-    # -- telemetry -----------------------------------------------------------
-
-    def _replay_worker_events(self, bus: Any, events: list[dict[str, Any]], worker: int) -> None:
-        for event in events:
-            payload = {
-                k: v for k, v in event.items() if k not in ("schema", "seq", "event", "t")
-            }
-            payload.setdefault("worker", worker)
-            bus.emit(event["event"], t=event.get("t"), **payload)
-
-    # -- execution -----------------------------------------------------------
-
-    def run(
-        self,
-        plan: ExperimentPlan,
-        progress: Callable[[str], None] | None = None,
-        resume_from: RecordStore | None = None,
-    ) -> RecordStore:
-        """Execute every planned run; results merge in protocol order."""
-        if self.n_workers == 1 and not self.force_supervise:
-            return super().run(plan, progress=progress, resume_from=resume_from)
-        store = resume_from if resume_from is not None else RecordStore()
-        done = store.completed_keys()
-        already_done = frozenset(done)
-        # The simulated protocol clock is reconstructed while merging:
-        # skip entries (already-recorded runs) advance it to their
-        # recorded end, so post-resume records carry the exact clock a
-        # fresh, uninterrupted campaign would have stamped.
-        end_clocks = store.end_clocks()
-        wall_clock = 0.0
-        executed_since_checkpoint = 0
-        bus = get_bus()
-        prof = get_profiler()
-        worker_ids: dict[int, int] = {}
-
-        # Flatten the plan into a schedule: run entries carry a dense
-        # ordinal (the merge order), block entries close a block.
-        schedule: list[tuple[Any, ...]] = []
-        ordinal = 0
-        for block_index, (block, wait) in enumerate(zip(plan.blocks, plan.waits_s)):
-            for planned in block:
-                key = (planned.spec.key, planned.rep)
-                if key in already_done:
-                    schedule.append(("skip", key, block_index))
-                    continue
-                schedule.append(("run", _Task(ordinal, planned, block_index)))
-                ordinal += 1
-            schedule.append(("block", block_index, wait))
-
-        # Bulk cache prefetch (executors that support it): prefetched
-        # runs never go to a worker — the parent resolves them at merge
-        # position through the exact serial code path, so per-run cache
-        # tallies and replay events match a serial campaign's.
-        local_keys: set[tuple[str, int]] = set()
-        prefetch = getattr(self.executor, "prefetch", None)
-        if callable(prefetch):
-            jobs = [
-                (entry[1].planned.spec, entry[1].planned.rep)
-                for entry in schedule
-                if entry[0] == "run"
-            ]
-            if jobs:
-                with prof.span("runner.prefetch"):
-                    prefetch(jobs)
-            staged = getattr(self.executor, "prefetched", None)
-            if isinstance(staged, dict):
-                local_keys = set(staged.keys())
-        if local_keys:
-            for entry in schedule:
-                if entry[0] != "run":
-                    continue
-                task = entry[1]
-                if (task.planned.spec.key, task.planned.rep) in local_keys:
-                    task.local = True
-
-        queue = self._open_queue()
-        if queue is not None:
-            queue.enqueue_many(
-                [
-                    (entry[1].planned.spec.key, entry[1].planned.rep)
-                    for entry in schedule
-                    if entry[0] == "run"
-                ]
-            )
-
+    @contextmanager
+    def _worker_pool(
+        self, jobs: list[tuple[int, PlannedRun]], queue: Any, bus: Any
+    ) -> Iterator[_Supervisor]:
         spool_dir = Path(tempfile.mkdtemp(prefix="repro-spool-"))
-        supervisor = _Supervisor(
-            self, bus, queue, self.supervision_stats, worker_ids, spool_dir
-        )
-        supervisor.pending.extend(
-            entry[1] for entry in schedule if entry[0] == "run" and not entry[1].local
-        )
-
-        block_ran: dict[int, bool] = {}
-        interrupted: str | None = None
-        merge_index = 0
+        supervisor = _Supervisor(self, bus, queue, spool_dir)
         try:
-            supervisor.start()
-            while merge_index < len(schedule):
-                entry = schedule[merge_index]
-                if entry[0] == "block":
-                    _, block_index, wait = entry
-                    if block_ran.get(block_index):
-                        wall_clock += wait
-                    if progress is not None:
-                        progress(
-                            f"block {block_index + 1}/{len(plan.blocks)} done "
-                            f"(wall clock {wall_clock / 60:.1f} min)"
-                        )
-                    merge_index += 1
-                    continue
-                if entry[0] == "skip":
-                    # Already recorded by a previous attempt: advance
-                    # the reconstructed clock to that run's end and let
-                    # its block wait as the original campaign did.
-                    _, key, block_index = entry
-                    wall_clock = max(wall_clock, end_clocks[key])
-                    block_ran[block_index] = True
-                    merge_index += 1
-                    continue
-                task = entry[1]
-                key = (task.planned.spec.key, task.planned.rep)
-                if key in done:
-                    # A duplicate planned run whose twin already
-                    # succeeded this campaign: the serial runner skips
-                    # it, so any speculative result is dropped.
-                    task.discarded = True
-                    supervisor.results.pop(task.ordinal, None)
-                    if queue is not None:
-                        queue.mark_done(*key)
-                    supervisor.frontier = task.ordinal + 1
-                    merge_index += 1
-                    continue
-                if task.local:
-                    # Prefetched cache hit: resolve it in-parent at its
-                    # merge position, through the serial runner's exact
-                    # lease/execute/merge sequence.
-                    sig = (
-                        supervisor.drain_signal
-                        if supervisor.draining
-                        else pending_signal()
-                    )
-                    if sig is not None:
-                        interrupted = sig
-                        break
-                    block_ran[task.block] = True
-                    with trace_scope(self._trace_context(task.planned)):
-                        self._emit_start(bus, task.planned, task.block, wall_clock)
-                        if queue is not None:
-                            queue.lease(*key)
-                        outcome = execute_outcome(
-                            self.executor, task.planned.spec, task.planned.rep
-                        )
-                        if queue is not None:
-                            if outcome.ok:
-                                queue.mark_done(*key)
-                            else:
-                                queue.mark_failed(*key)
-                        wall_clock = self._merge(
-                            store, task.planned, task.block, wall_clock, outcome, bus
-                        )
-                    supervisor.frontier = task.ordinal + 1
-                    merge_index += 1
-                    if not outcome.ok:
-                        continue
-                    done.add(key)
-                    executed_since_checkpoint += 1
-                    if executed_since_checkpoint >= self.checkpoint_every:
-                        self._checkpoint(store)
-                        executed_since_checkpoint = 0
-                    continue
-                reply = supervisor.results.pop(task.ordinal, None)
-                if reply is None:
-                    if supervisor.draining and not task.dispatched:
-                        # Nothing in flight can produce this run any
-                        # more: stop merging, checkpoint, surface the
-                        # interrupt.
-                        interrupted = supervisor.drain_signal or "SIGINT"
-                        break
-                    supervisor.tick()
-                    continue
-                block_ran[task.block] = True
-                self._emit_start(bus, task.planned, task.block, wall_clock)
-                worker = worker_ids.setdefault(reply.pid, len(worker_ids))
-                if reply.cache_stats:
-                    from .. import service as _service
-
-                    _service.add_cache_stats(reply.cache_stats)
-                outcome = reply.outcome
-                status = (
-                    "ok"
-                    if outcome.ok
-                    else ("quarantined" if outcome.violation else "failed")
-                )
-                # The whole merge of one task runs under the task's job
-                # span: worker brackets, replayed engine events and
-                # run.end all land in one trace (no-op with tracing off).
-                with trace_scope(self._trace_context(task.planned)):
-                    if bus.enabled:
-                        bus.emit(
-                            "worker.start",
-                            worker=worker,
-                            spec=task.planned.spec.key,
-                            rep=task.planned.rep,
-                            seed=self.seed,
-                        )
-                        self._replay_worker_events(bus, reply.events, worker)
-                        if reply.metrics is not None:
-                            bus.metrics.merge(reply.metrics)
-                    prof.record("executor.run", reply.elapsed_s)
-                    if queue is not None:
-                        # Journal the terminal state before merging: the
-                        # merge may raise under a fail policy, and the
-                        # job must not be replayed as pending on resume.
-                        if outcome.ok:
-                            queue.mark_done(*key)
-                        else:
-                            queue.mark_failed(*key)
-                    wall_clock = self._merge(
-                        store, task.planned, task.block, wall_clock, outcome, bus
-                    )
-                    if bus.enabled:
-                        bus.emit(
-                            "worker.end",
-                            worker=worker,
-                            spec=task.planned.spec.key,
-                            rep=task.planned.rep,
-                            seed=self.seed,
-                            status=status,
-                            elapsed_s=float(reply.elapsed_s),
-                        )
-                supervisor.frontier = task.ordinal + 1
-                merge_index += 1
-                if not outcome.ok:
-                    continue
-                done.add(key)
-                executed_since_checkpoint += 1
-                if executed_since_checkpoint >= self.checkpoint_every:
-                    self._checkpoint(store)
-                    executed_since_checkpoint = 0
+            supervisor.start(jobs)
+            yield supervisor
         finally:
             supervisor.shutdown()
             self.transfer_stats = dict(supervisor.transfer)
             shutil.rmtree(spool_dir, ignore_errors=True)
-            if queue is not None:
-                queue.close(
-                    remove=(interrupted is None and merge_index >= len(schedule))
-                )
-        if interrupted is not None:
-            self._checkpoint(store)
-            raise CampaignInterrupted(
-                interrupted,
-                checkpoint=str(self.checkpoint_path)
-                if self.checkpoint_path is not None
-                else None,
-            )
-        self._checkpoint(store)
-        return store

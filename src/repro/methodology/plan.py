@@ -64,6 +64,14 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if len(self.waits_s) != len(self.blocks):
             raise ExperimentError("need one wait per block")
+        # A (spec, rep) pair names one run: its record, journal entry and
+        # merge position.  Planning it twice has no meaning to run.
+        seen: set[tuple[str, int]] = set()
+        for run in self:
+            key = (run.spec.key, run.rep)
+            if key in seen:
+                raise ExperimentError(f"run {run.spec.key} rep {run.rep} planned twice")
+            seen.add(key)
 
     @classmethod
     def build(

@@ -33,18 +33,23 @@ node dies, the job hits its time limit.  The runner therefore supports
   failures are retried, with the prior attempt's failure records
   archived to ``store.retried_failures`` rather than discarded.
 
-Execution of one run and the folding of its outcome into the store are
-split into :func:`execute_outcome` and :meth:`ProtocolRunner._merge`, so
-the parallel runner can execute runs in worker processes (outcomes are
-plain picklable data) and merge them in the parent in protocol order,
-producing byte-identical stores.
+:meth:`ProtocolRunner.run` is the only walk of the protocol, at every
+worker count.  Where a run's :class:`RunOutcome` comes from is the one
+thing that varies: serial runs (and prefetched cache hits at any worker
+count) execute inline through :func:`execute_outcome`, while the
+parallel runner (:mod:`repro.methodology.parallel`) plugs its worker
+pool in as the source of the rest — outcomes are plain picklable data.
+Either way the walk folds each outcome into the store with
+:meth:`ProtocolRunner._merge`, in protocol order, so stores are
+byte-identical whatever executed the runs.
 """
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from ..engine.result import RunResult
 from ..errors import CampaignInterrupted, CheckpointError, ExperimentError, InvariantViolation
@@ -141,8 +146,8 @@ class ProtocolRunner:
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path is not None else None
         self.checkpoint_every = checkpoint_every
         # Orchestration counters, accumulated across run()/resume() calls:
-        # requeues/quarantines are written by the parallel supervisor,
-        # reclaimed by _open_queue on either runner.
+        # requeues/quarantines/worker_deaths are written by the worker
+        # pool, reclaimed by _open_queue at any worker count.
         self.supervision_stats: dict[str, int] = {
             "requeues": 0,
             "quarantines": 0,
@@ -272,9 +277,9 @@ class ProtocolRunner:
     ) -> float:
         """Fold one outcome into the store; returns the new wall clock.
 
-        Raises under the fail policies (after checkpointing), exactly as
-        the serial inline path always did — so serial and parallel
-        campaigns share one definition of what a run's outcome means.
+        Raises under the fail policies (after checkpointing), whether
+        the outcome was executed inline or by a worker — one definition
+        of what a run's outcome means.
         """
         if outcome.invalid:
             self._checkpoint(store)
@@ -373,115 +378,148 @@ class ProtocolRunner:
 
     # -- execution ----------------------------------------------------------------
 
+    def _prefetch(self, pending: list[PlannedRun]) -> set[tuple[str, int]]:
+        """Bulk-load cached results ahead of time; returns the staged keys.
+
+        Executors that can (the service executor does) get the whole
+        pending campaign in one call: one directory scan per fingerprint
+        instead of one failed open per missing entry.  Per-run hit
+        accounting still happens at each run's position in the schedule,
+        so the event stream and cache tallies are byte-identical to the
+        per-run path.
+        """
+        prefetch = getattr(self.executor, "prefetch", None)
+        if not callable(prefetch) or not pending:
+            return set()
+        with get_profiler().span("runner.prefetch"):
+            return set(prefetch([(planned.spec, planned.rep) for planned in pending]))
+
+    def _worker_pool(
+        self, jobs: list[tuple[int, PlannedRun]], queue: "DurableJobQueue | None", bus: Any
+    ) -> AbstractContextManager[Any]:
+        """The pool that executes ``jobs`` (ordinal, run) out of process.
+
+        The serial runner has none — a pool of zero: every run executes
+        in-process at its merge position.  The parallel runner returns
+        its supervised workers here; the walk in :meth:`run` then waits
+        for each job's reply by ordinal instead of executing it.
+        """
+        return nullcontext()
+
+    @contextmanager
+    def _inline(
+        self, planned: PlannedRun, queue: "DurableJobQueue | None"
+    ) -> Iterator[RunOutcome]:
+        """Execute one run in-process, at its merge position."""
+        if queue is not None:
+            queue.lease(planned.spec.key, planned.rep)
+        yield execute_outcome(self.executor, planned.spec, planned.rep)
+
     def run(
         self,
         plan: ExperimentPlan,
         progress: Callable[[str], None] | None = None,
         resume_from: RecordStore | None = None,
     ) -> RecordStore:
-        """Execute every planned run in protocol order.
+        """Execute every planned run, merging outcomes in protocol order.
 
-        With a ``checkpoint_path`` configured, every pending (spec, rep)
-        job is journaled in a durable queue next to the checkpoint and
-        its state transitions (lease → done/failed) are fsync'd, so a
-        crashed campaign can be resumed with full knowledge of what was
-        in flight.  SIGINT/SIGTERM (when armed via
+        This is the one walk of the protocol, whatever executes the
+        runs: serial runs and prefetched cache hits execute inline, a
+        worker pool (see :meth:`_worker_pool`) supplies the outcomes of
+        the rest.  With a ``checkpoint_path`` configured, every pending
+        (spec, rep) job is journaled in a durable queue next to the
+        checkpoint and its state transitions (lease → done/failed) are
+        fsync'd, so a crashed campaign can be resumed with full
+        knowledge of what was in flight.  SIGINT/SIGTERM (when armed via
         :func:`repro.orchestrator.interrupts.handle_signals`) checkpoint
         and raise :class:`~repro.errors.CampaignInterrupted` between
         runs instead of tearing down mid-merge.
         """
         store = resume_from if resume_from is not None else RecordStore()
-        done = store.completed_keys()
-        already_done = frozenset(done)
+        recorded = store.completed_keys()
         # Reconstruct the simulated protocol clock while walking the
         # plan: skipped (already-recorded) runs advance it to their
         # recorded end, so post-resume records carry the exact clock a
         # fresh, uninterrupted campaign would have stamped.
         end_clocks = store.end_clocks()
-        wall_clock = 0.0
-        executed_since_checkpoint = 0
+        pending = [p for p in plan if (p.spec.key, p.rep) not in recorded]
         bus = get_bus()
         queue = self._open_queue()
         if queue is not None:
-            queue.enqueue_many(
-                [
-                    (planned.spec.key, planned.rep)
-                    for block in plan.blocks
-                    for planned in block
-                    if (planned.spec.key, planned.rep) not in done
-                ]
-            )
-        # Executors that can bulk-load cached results ahead of time (the
-        # service executor does) get the whole pending campaign in one
-        # call: one directory scan per fingerprint instead of one failed
-        # open per missing entry.  Per-run hit accounting still happens
-        # at each run's position in the schedule, so the event stream
-        # and cache tallies are byte-identical to the per-run path.
-        prefetch = getattr(self.executor, "prefetch", None)
-        if callable(prefetch):
-            pending_jobs = [
-                (planned.spec, planned.rep)
-                for block in plan.blocks
-                for planned in block
-                if (planned.spec.key, planned.rep) not in done
-            ]
-            if pending_jobs:
-                with get_profiler().span("runner.prefetch"):
-                    prefetch(pending_jobs)
+            queue.enqueue_many([(p.spec.key, p.rep) for p in pending])
+        # Prefetched hits resolve inline at their merge position; a
+        # worker pool only gets the misses, numbered by their ordinal
+        # among the pending runs (the merge order).
+        hits = self._prefetch(pending)
+        misses = [
+            (ordinal, p)
+            for ordinal, p in enumerate(pending)
+            if (p.spec.key, p.rep) not in hits
+        ]
+        wall_clock = 0.0
+        executed_since_checkpoint = 0
+        ordinal = 0
         interrupted: str | None = None
         completed = False
         try:
-            for block_index, (block, wait) in enumerate(zip(plan.blocks, plan.waits_s)):
-                block_ran = False
-                for planned in block:
-                    key = (planned.spec.key, planned.rep)
-                    if key in done:
-                        if key in already_done:
+            with self._worker_pool(misses, queue, bus) as pool:
+                for block_index, (block, wait) in enumerate(zip(plan.blocks, plan.waits_s)):
+                    block_ran = False
+                    for planned in block:
+                        key = (planned.spec.key, planned.rep)
+                        if key in recorded:
                             # The original run advanced the clock (and
                             # its block waited); mirror both so pending
                             # runs resume at the fresh-campaign clock.
                             wall_clock = max(wall_clock, end_clocks[key])
                             block_ran = True
-                        continue
-                    interrupted = pending_signal()
+                            continue
+                        reply = None
+                        if pool is None or key in hits:
+                            interrupted = pending_signal()
+                        else:
+                            reply = pool.wait(ordinal)
+                            if reply is None:
+                                interrupted = pool.drain_signal
+                        if interrupted is not None:
+                            break
+                        ordinal += 1
+                        block_ran = True
+                        source = (
+                            self._inline(planned, queue)
+                            if reply is None
+                            else pool.replayed(reply, planned)
+                        )
+                        with trace_scope(self._trace_context(planned)):
+                            self._emit_start(bus, planned, block_index, wall_clock)
+                            with source as outcome:
+                                if queue is not None:
+                                    # Journal the terminal state before
+                                    # merging: the merge may raise under
+                                    # a fail policy, and the job must not
+                                    # replay as pending on resume.
+                                    if outcome.ok:
+                                        queue.mark_done(*key)
+                                    else:
+                                        queue.mark_failed(*key)
+                                wall_clock = self._merge(
+                                    store, planned, block_index, wall_clock, outcome, bus
+                                )
+                        if not outcome.ok:
+                            continue
+                        executed_since_checkpoint += 1
+                        if executed_since_checkpoint >= self.checkpoint_every:
+                            self._checkpoint(store)
+                            executed_since_checkpoint = 0
                     if interrupted is not None:
                         break
-                    block_ran = True
-                    with trace_scope(self._trace_context(planned)):
-                        self._emit_start(bus, planned, block_index, wall_clock)
-                        if queue is not None:
-                            queue.lease(*key)
-                        outcome = execute_outcome(
-                            self.executor, planned.spec, planned.rep
+                    if block_ran:
+                        wall_clock += wait
+                    if progress is not None:
+                        progress(
+                            f"block {block_index + 1}/{len(plan.blocks)} done "
+                            f"(wall clock {wall_clock / 60:.1f} min)"
                         )
-                        if queue is not None:
-                            # Journal the terminal state before merging:
-                            # the merge may raise under a fail policy,
-                            # and the job must not replay as pending on
-                            # resume.
-                            if outcome.ok:
-                                queue.mark_done(*key)
-                            else:
-                                queue.mark_failed(*key)
-                        wall_clock = self._merge(
-                            store, planned, block_index, wall_clock, outcome, bus
-                        )
-                    if not outcome.ok:
-                        continue
-                    done.add(key)
-                    executed_since_checkpoint += 1
-                    if executed_since_checkpoint >= self.checkpoint_every:
-                        self._checkpoint(store)
-                        executed_since_checkpoint = 0
-                if interrupted is not None:
-                    break
-                if block_ran:
-                    wall_clock += wait
-                if progress is not None:
-                    progress(
-                        f"block {block_index + 1}/{len(plan.blocks)} done "
-                        f"(wall clock {wall_clock / 60:.1f} min)"
-                    )
             completed = interrupted is None
         finally:
             if queue is not None:

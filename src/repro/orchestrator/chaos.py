@@ -238,7 +238,7 @@ def _inject_worker_fault(
         _executor(scenarios, seed), mode=mode, sentinel=str(tmp / "fault.sentinel")
     )
     runner = ParallelProtocolRunner(
-        executor, n_workers=workers, seed=seed, supervise=True, policy=_POLICY
+        executor, n_workers=workers, seed=seed, policy=_POLICY
     )
     store = runner.run(plan)
     checks.expect(len(store) == plan.num_runs, f"all {plan.num_runs} runs recorded")
@@ -284,7 +284,6 @@ def _inject_process_kill(
         _executor(scenarios, seed),
         n_workers=workers,
         seed=seed,
-        supervise=True,
         policy=_POLICY,
         checkpoint_path=ckpt,
         checkpoint_every=1,
@@ -318,7 +317,6 @@ def _inject_checkpoint_truncate(
         _executor(scenarios, seed),
         n_workers=workers,
         seed=seed,
-        supervise=True,
         policy=_POLICY,
         checkpoint_path=ckpt,
     )
@@ -360,7 +358,6 @@ def _inject_cache_truncate(
         _executor(scenarios, seed, cache=True, cache_dir=str(cache_dir)),
         n_workers=workers,
         seed=seed,
-        supervise=True,
         policy=_POLICY,
     ).run(plan)
     delta = {k: v - before.get(k, 0) for k, v in cache_stats().items()}
@@ -407,7 +404,6 @@ def _inject_cache_deny(
         _executor(scenarios, seed, cache=True, cache_dir=cache_dir),
         n_workers=workers,
         seed=seed,
-        supervise=True,
         policy=_POLICY,
     ).run(plan)
     delta = {k: v - before.get(k, 0) for k, v in cache_stats().items()}

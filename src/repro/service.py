@@ -1,7 +1,7 @@
 """The simulation service: one facade, one result cache.
 
 Every execution path — :class:`~repro.methodology.runner.ProtocolRunner`
-and its parallel twin (through the executors built by
+at any worker count (through the executors built by
 :func:`repro.experiments.common.run_specs`), the CLI, and the bench
 workloads — asks :class:`SimulationService` for ``run(spec, rep)``,
 where ``spec`` is a canonical :class:`~repro.scenario.ScenarioSpec`.
@@ -53,7 +53,7 @@ from .errors import ConfigError, ExperimentError
 from .methodology.plan import ExperimentSpec
 from .orchestrator.supervise import CircuitBreaker
 from .scenario import ScenarioSpec
-from .telemetry.bus import RingBufferSink, get_bus
+from .telemetry.bus import RUN_RING_CAPACITY, RingBufferSink, get_bus
 from .telemetry.trace import current_trace, trace_scope
 from .verify.level import ValidationLevel
 
@@ -76,14 +76,6 @@ __all__ = [
 # evicted first.  Campaigns sweep far fewer distinct configurations
 # than this between construction and last use.
 _CONTEXT_CAP = 128
-
-# Capacity of the capture ring used on a miss: engine-level events of a
-# single run (matches the parallel runner's per-task ring).
-_CAPTURE_RING_CAPACITY = 65536
-
-# The event-envelope keys the bus adds on emit; stripped before replay
-# (the same convention as ParallelProtocolRunner._replay_worker_events).
-_ENVELOPE_KEYS = ("schema", "seq", "event", "t")
 
 
 # -- cache statistics --------------------------------------------------------------
@@ -390,8 +382,7 @@ class SimulationService:
                 self.breaker.record_success()
                 self._emit_breaker(bus)
                 _count("hit")
-                if bus.enabled:
-                    self._replay_events(bus, entry.get("events", ()))
+                bus.replay(entry.get("events", ()))
                 self._emit_cache_span(bus, "hit", probe_started)
                 return result_from_jsonable(entry["result"])
 
@@ -402,7 +393,7 @@ class SimulationService:
         # even when no user sink is attached — the attached ring enables
         # the bus, and instrumentation is proven byte-identical — so a
         # later hit can replay the run's events, not just its result.
-        ring = RingBufferSink(_CAPTURE_RING_CAPACITY)
+        ring = RingBufferSink(RUN_RING_CAPACITY)
         bus.attach(ring)
         try:
             result = ctx.engine.run(apps, rep=rep)
@@ -478,8 +469,7 @@ class SimulationService:
         self.breaker.record_success()
         self._emit_breaker(bus)
         _count("hit")
-        if bus.enabled:
-            self._replay_events(bus, entry.get("events", ()))
+        bus.replay(entry.get("events", ()))
         self._emit_cache_span(bus, "hit", started)
         return result_from_jsonable(entry["result"])
 
@@ -551,12 +541,6 @@ class SimulationService:
             if bus.enabled:
                 bus.emit("orchestrator.breaker", state=state, failures=failures)
 
-    @staticmethod
-    def _replay_events(bus: Any, events: Any) -> None:
-        for event in events:
-            payload = {k: v for k, v in event.items() if k not in _ENVELOPE_KEYS}
-            bus.emit(event["event"], t=event.get("t"), **payload)
-
 
 _SERVICE = SimulationService()
 
@@ -584,9 +568,10 @@ class ServiceExecutor:
     cache_remote: str | None = None
     seed: int = 0
     # Prefetched cache entries keyed by (planned key, rep), populated by
-    # the runners' bulk pass and *popped* per run so every hit is
+    # the runner's bulk pass and *popped* per run so every hit is
     # replayed and counted exactly once, at the run's own position.
-    # Never pickled: workers re-probe their own cache.
+    # Never pickled: the runner resolves staged hits in the parent and
+    # hands workers only the misses.
     prefetched: dict[tuple[str, int], dict[str, Any]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -606,12 +591,13 @@ class ServiceExecutor:
             cache_remote=self.cache_remote,
         )
 
-    def prefetch(self, jobs: "list[tuple[ExperimentSpec, int]]") -> int:
+    def prefetch(self, jobs: "list[tuple[ExperimentSpec, int]]") -> set[tuple[str, int]]:
         """Bulk-load the cache entries for the given planned jobs.
 
-        Returns how many hits were staged.  Safe to call with jobs whose
-        keys are unknown (they are skipped and will fail per-run with
-        the usual error).
+        Returns the ``(spec key, rep)`` of every job with a staged hit:
+        the runner resolves those in-process and sends only the rest to
+        its workers.  Safe to call with jobs whose keys are unknown
+        (they are skipped and will fail per-run with the usual error).
         """
         pairs = [
             (self.scenarios[spec.key], int(rep))
@@ -624,15 +610,17 @@ class ServiceExecutor:
             cache_dir=self.cache_dir,
             cache_remote=self.cache_remote,
         )
-        staged = 0
+        staged: set[tuple[str, int]] = set()
         for spec, rep in jobs:
             scenario = self.scenarios.get(spec.key)
             if scenario is None:
                 continue
+            key = (spec.key, int(rep))
             entry = entries.get((scenario.fingerprint, scenario.engine, int(rep)))
-            if entry is not None and (spec.key, int(rep)) not in self.prefetched:
-                self.prefetched[(spec.key, int(rep))] = entry
-                staged += 1
+            if entry is not None:
+                self.prefetched.setdefault(key, entry)
+            if key in self.prefetched:
+                staged.add(key)
         return staged
 
     def __getstate__(self) -> dict[str, Any]:

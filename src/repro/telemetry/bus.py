@@ -31,10 +31,10 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Protocol, TextIO
+from typing import Any, Iterable, Iterator, Mapping, Protocol, TextIO
 
 from ..errors import TelemetryError
-from .events import DEBUG_EVENTS, SCHEMA_VERSION
+from .events import DEBUG_EVENTS, ENVELOPE_FIELDS, SCHEMA_VERSION
 from .metrics import MetricsRegistry
 from .trace import FlightRecorder, current_trace
 
@@ -44,6 +44,7 @@ __all__ = [
     "JsonlSink",
     "ConsoleSink",
     "EventBus",
+    "RUN_RING_CAPACITY",
     "get_bus",
     "set_bus",
     "session",
@@ -51,6 +52,11 @@ __all__ = [
 ]
 
 _LEVELS = ("info", "debug")
+
+# Capacity of a ring capturing the engine events of one run, for later
+# replay (cache entries, worker replies): debug level can emit one event
+# per fluid segment.
+RUN_RING_CAPACITY = 65536
 
 
 class TelemetrySink(Protocol):
@@ -228,6 +234,22 @@ class EventBus:
         self._seq = self._seq + 1
         for sink in self._sinks:
             sink.emit(event)
+
+    def replay(self, events: Iterable[Mapping[str, Any]], **defaults: Any) -> None:
+        """Re-emit recorded events (cache entries, worker rings, wire frames).
+
+        Each recorded envelope is stripped and rebuilt by :meth:`emit`, so
+        replayed events take this bus's sequence numbers but keep their
+        recorded ``t`` and payload.  ``defaults`` fill payload fields the
+        recorded event does not carry (e.g. the ``worker`` that ran it).
+        """
+        if not self._sinks:
+            return
+        for event in events:
+            payload = {k: v for k, v in event.items() if k not in ENVELOPE_FIELDS}
+            for key, value in defaults.items():
+                payload.setdefault(key, value)
+            self.emit(event["event"], t=event.get("t"), **payload)
 
     def close(self) -> None:
         """Close every sink (the bus itself stays usable)."""

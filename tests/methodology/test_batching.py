@@ -88,9 +88,9 @@ def two_spec_plan(repetitions=6):
 def plan_tasks(plan):
     tasks = []
     ordinal = 0
-    for block_index, block in enumerate(plan.blocks):
+    for block in plan.blocks:
         for planned in block:
-            tasks.append(_Task(ordinal, planned, block_index))
+            tasks.append(_Task(ordinal, planned))
             ordinal += 1
     return tasks
 
@@ -105,8 +105,7 @@ def make_supervisor(tmp_path, n_workers=2, policy=None):
     runner = ParallelProtocolRunner(
         DeterministicExecutor(), n_workers=n_workers, policy=policy
     )
-    stats = {"worker_deaths": 0, "requeues": 0, "quarantines": 0}
-    return _Supervisor(runner, get_bus(), None, stats, {}, tmp_path)
+    return _Supervisor(runner, get_bus(), None, tmp_path)
 
 
 class TestBatchTelemetry:

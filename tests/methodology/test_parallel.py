@@ -92,7 +92,7 @@ class TestSerialParallelEquivalence:
             serial, tmp_path, "s"
         )
 
-    def test_single_worker_falls_back_to_serial_path(self, tmp_path):
+    def test_one_supervised_worker_is_serial(self, tmp_path):
         plan = two_spec_plan()
         serial = ProtocolRunner(DeterministicExecutor()).run(plan)
         solo = ParallelProtocolRunner(DeterministicExecutor(), n_workers=1).run(plan)
@@ -205,6 +205,26 @@ class TestWorkerTelemetry:
         ]
         # Per merged run: run.start, worker.start, run.end, worker.end.
         assert kinds == ["run.start", "worker.start", "run.end", "worker.end"] * 4
+
+    def test_run_events_carry_serial_trace_ids(self):
+        # Worker-executed runs are stamped with the same job trace as
+        # the serial runner's, on run.start as well as run.end.
+        plan = two_spec_plan(repetitions=2)
+
+        def traced(runner):
+            with session(ring=4096, trace=True) as bus:
+                runner.run(plan)
+                return [
+                    (e["event"], e["spec"], e["rep"], e.get("trace"), e.get("span"))
+                    for e in bus.ring.events
+                    if e["event"] in ("run.start", "run.end")
+                ]
+
+        serial = traced(ProtocolRunner(DeterministicExecutor()))
+        parallel = traced(ParallelProtocolRunner(DeterministicExecutor(), n_workers=2))
+        assert len(serial) == 2 * plan.num_runs
+        assert all(trace is not None for _, _, _, trace, _ in serial)
+        assert parallel == serial
 
     def test_checkpoint_events_count_runs(self, tmp_path):
         events = self.run_captured(

@@ -84,6 +84,20 @@ class TestPlanBuild:
         with pytest.raises(ExperimentError):
             ExperimentPlan.build([], ProtocolConfig())
 
+    def test_repeated_run_rejected(self):
+        # A hand-built plan may not schedule one (spec, rep) twice, not
+        # even in different blocks.
+        spec = specs(1)[0]
+        with pytest.raises(ExperimentError, match="planned twice"):
+            ExperimentPlan(
+                blocks=[
+                    [PlannedRun(spec, 0), PlannedRun(spec, 1)],
+                    [PlannedRun(spec, 2), PlannedRun(spec, 0)],
+                ],
+                waits_s=[0.0, 0.0],
+                protocol=ProtocolConfig(repetitions=4),
+            )
+
     def test_block_of(self):
         plan = ExperimentPlan.build(specs(1), ProtocolConfig(repetitions=10), seed=0)
         run = plan.blocks[0][0]
