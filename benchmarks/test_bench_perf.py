@@ -2,10 +2,10 @@
 
 These cover what ``repro bench`` tracks in ``BENCH_<rev>.json``, but as
 pytest-benchmark cases so regressions show up in the same harness as the
-figure benches: the persistent max-min solver (incidence reuse and the
-keyed solve cache), the vectorized fairness certificate, the fluid
-engine's cached per-run hot path, and a reduced serial-vs-parallel
-campaign whose stores must stay byte-identical.
+figure benches: the persistent max-min solver (incidence reuse), the
+vectorized fairness certificate, the fluid engine's per-run hot path
+with its engines built once, and a reduced serial-vs-parallel campaign
+whose stores must stay byte-identical.
 """
 
 import json
@@ -47,16 +47,6 @@ def test_bench_solver_persistent(benchmark):
     np.testing.assert_allclose(
         solver.solve(capacities), max_min_rates(memberships, capacities)
     )
-
-
-def test_bench_solver_cache_hit(benchmark):
-    """Identical capacities must return from the keyed cache, not re-solve."""
-    memberships, capacities = _solver_problem()
-    solver = MaxMinSolver(memberships, _NRES)
-    solver.solve(capacities)
-    rates = benchmark(lambda: solver.solve(capacities))
-    assert rates.shape == (_NFLOWS,)
-    assert solver.cache_len == 1
 
 
 def test_bench_fairness_certificate(benchmark):

@@ -124,7 +124,7 @@ def _solver_problem() -> tuple[list[list[int]], np.ndarray]:
 
 
 def bench_solver(quick: bool = False) -> dict[str, dict[str, Any]]:
-    """Max-min solver: one-shot, persistent-incidence, and cache-hit paths.
+    """Max-min solver: one-shot and persistent-incidence paths.
 
     Sub-second even at full fidelity, so ``quick`` does not reduce it —
     quick and full reports stay comparable on the solver metrics.
@@ -145,24 +145,14 @@ def bench_solver(quick: bool = False) -> dict[str, dict[str, Any]]:
     varied = [capacities * (1.0 + 0.001 * i) for i in range(calls)]
 
     def persistent() -> float:
-        solver.clear_cache()
         start = time.perf_counter()
         for caps in varied:
             solver.solve(caps)
         return (time.perf_counter() - start) / calls
 
-    solver.solve(capacities)
-
-    def cache_hit() -> float:
-        start = time.perf_counter()
-        for _ in range(calls):
-            solver.solve(capacities)
-        return (time.perf_counter() - start) / calls
-
     return {
         "solver.one_shot_us": _metric(_best_of(one_shot, batches) * 1e6, "us/call", "lower"),
         "solver.persistent_us": _metric(_best_of(persistent, batches) * 1e6, "us/call", "lower"),
-        "solver.cache_hit_us": _metric(_best_of(cache_hit, batches) * 1e6, "us/call", "lower"),
     }
 
 

@@ -12,6 +12,18 @@ Capacities may depend on the set of active flows through the resource
 (e.g. a storage target whose service rate grows with the number of
 outstanding requests) and on multiplicative noise resampled every
 *epoch* (the production-system variability of Section III-C).
+
+Each segment runs the same named phases, one method each of the
+per-run state ``_Run``: **admit** arrivals and due retries; draw the
+**epoch noise**; **rebuild the population** state when the active set
+changed; **solve the segment** (max-min rates under the latency-cap
+fixed point); find the segment **boundary**; **presolve ahead** the
+coming noise epochs of a stable population in one stacked batch;
+**observe** (telemetry, invariant checks, series, constraint picture);
+**advance** time and **retire** completed, timed-out and abandoned
+flows.  No solve is memoized: a segment takes a presolved fixed point
+only when its capacity vector matches the prediction bit for bit, and
+solves inline otherwise.
 """
 
 from __future__ import annotations
@@ -50,10 +62,6 @@ __all__ = [
 ]
 
 _BYTES_EPS = 1e-3  # a flow with less than this many bytes left is done
-# Segment solve-cache entries kept per flow population before clearing.
-# Keyed on the capacity vector's bytes: noise epochs revisit the same
-# levels, and noiseless runs hit the same key every segment.
-_SEG_CACHE_SIZE = 128
 # A resource counts as *binding* in a segment when its usage reaches
 # this fraction of capacity: blocking-request latency caps legitimately
 # hold flows a few percent below the saturating resource, so exact
@@ -63,7 +71,8 @@ _TIME_EPS = 1e-12
 _RATE_EPS = 1e-9  # MiB/s below which a flow counts as stalled (no progress)
 # Noise epochs presolved ahead per batch when the population is stable:
 # their capacity vectors are predicted, solved in one stacked
-# ``MaxMinSolver.solve_batch`` call, and seeded into the segment cache.
+# ``MaxMinSolver.solve_batch`` call, and handed to the segments that
+# reach them.
 _PRESOLVE_EPOCHS = 8
 
 
@@ -310,7 +319,12 @@ class FluidSimulation:
         """
         trace: list[FlowTraceEvent] = []
         try:
-            return self._run(rng, observe, max_time, detail, breakpoints, trace)
+            if not self._flows:
+                raise FlowError("no flows to simulate")
+            for rid in observe:
+                if rid not in self._providers:
+                    raise FlowError(f"cannot observe unknown resource {rid!r}")
+            return _Run(self, rng, observe, max_time, detail, breakpoints, trace).execute()
         except Exception as exc:
             # A failed run has no FluidResult to carry its trace, so the
             # retry/abandon history rides on the exception instead —
@@ -320,527 +334,34 @@ class FluidSimulation:
             exc.flow_retries = sum(1 for e in trace if e.action == "retry")
             raise
 
-    def _run(
+    def _solve_one(
         self,
-        rng: np.random.Generator | None,
-        observe: Sequence[str],
-        max_time: float,
-        detail: bool,
-        breakpoints: Sequence[float],
-        trace: list[FlowTraceEvent],
-    ) -> FluidResult:
-        if not self._flows:
-            raise FlowError("no flows to simulate")
-        for rid in observe:
-            if rid not in self._providers:
-                raise FlowError(f"cannot observe unknown resource {rid!r}")
+        solver: MaxMinSolver,
+        capacities: np.ndarray,
+        nprocs: np.ndarray,
+        req_sizes: np.ndarray,
+    ) -> tuple:
+        """One segment's latency-cap fixed point: ``(rates, caps, caps_used, iterations)``.
 
-        # Telemetry handles, hoisted once per run.  With no sinks and no
-        # profiler these reduce to boolean attribute checks in the loop;
-        # neither touches the RNG or any simulation state, which is what
-        # keeps telemetry-off runs byte-identical.
-        bus = get_bus()
-        prof = get_profiler()
-        profiled = prof.enabled
-        solver_iterations = 0
-        solve_cache_hits = 0
-
-        rids = list(self._providers)
-        rid_index = {rid: i for i, rid in enumerate(rids)}
-        tag_by_index = [_distinct_tag_of(self._providers[rid]) for rid in rids]
-        flows = sorted(self._flows, key=lambda f: (f.start_time, f.flow_id))
-        checker = self.checker
-        if checker is not None:
-            checker.bind_resources(rids)
-            for flow in flows:
-                checker.expect_bytes(
-                    [rid_index[r] for r in flow.resources], flow.volume_bytes
-                )
-        pending = list(flows)
-        active: list[FluidFlow] = []
-        series = {rid: TimeSeries() for rid in observe}
-        bounds = tuple(sorted({float(b) for b in breakpoints}))
-        # Flows sleeping out a retry backoff: (ready_time, seq, flow).
-        retry_heap: list[tuple[float, int, FluidFlow]] = []
-        retry_seq = 0
-
-        epoch_len = self.noise.epoch_length_s
-        has_epochs = math.isfinite(epoch_len)
-        noise_rng = rng
-        multipliers = np.ones(len(rids))
-        current_epoch = -1
-        # Noise epochs drawn ahead for presolved segments.  The
-        # per-(resource, epoch) draw order is exactly the lazy order, so
-        # pre-drawing is byte-safe whenever epochs are consumed
-        # consecutively — which the presolve gate guarantees (no future
-        # arrivals and no retries means no idle gap can skip an epoch).
-        # The rng is the per-run "noise" stream and is never touched
-        # after the run, so draws beyond the final epoch are inert.
-        predrawn: dict[int, np.ndarray] = {}
-        drawn_max = -1
-
-        def resample_noise(epoch: int) -> None:
-            nonlocal current_epoch, drawn_max
-            if epoch == current_epoch:
-                return
-            current_epoch = epoch
-            if isinstance(self.noise, NoNoise) or noise_rng is None:
-                return
-            row = predrawn.pop(epoch, None)
-            if row is not None:
-                multipliers[:] = row
-                return
-            for i, rid in enumerate(rids):
-                multipliers[i] = self.noise.multiplier(rid, epoch, noise_rng)
-            if epoch > drawn_max:
-                drawn_max = epoch
-
-        def draw_ahead(upto: int) -> None:
-            nonlocal drawn_max
-            for e in range(drawn_max + 1, upto + 1):
-                row = np.empty(len(rids))
-                for i, rid in enumerate(rids):
-                    row[i] = self.noise.multiplier(rid, e, noise_rng)
-                predrawn[e] = row
-                drawn_max = e
-
-        now = pending[0].start_time
-        segments = 0
-        details: list[SegmentDetail] = []
-        # Membership-dependent state, rebuilt only when the active flow
-        # population changes (arrival, retry re-entry, completion,
-        # abandonment).  Capacities still vary per segment with time and
-        # noise, so the solved rates are cached per capacity vector.
-        members_dirty = True
-        memberships: list[list[int]] = []
-        depth = np.zeros(len(rids))
-        nflows = np.zeros(len(rids), dtype=int)
-        distinct: dict[int, set] = {}
-        nprocs = np.zeros(0, dtype=int)
-        req_sizes = np.zeros(0)
-        solver: MaxMinSolver | None = None
-        seg_cache: dict[bytes, tuple] = {}
-        # Segment keys seeded by the epoch presolve that the main loop
-        # has not reached yet: their first use is accounted as the
-        # inline solve it replaced, not as a cache hit, so telemetry
-        # counters are unchanged by presolving.
-        presolved: set[bytes] = set()
-        # Per-population vectorized state: base capacities of the
-        # noise-scaled providers (one elementwise multiply per segment
-        # replaces per-resource Python calls), the providers that still
-        # need a call per segment, per-flow remaining-bytes and
-        # stall-clock arrays (authoritative between rebuilds; flushed
-        # back into the flow objects whenever the population changes),
-        # and per-observed-resource member index lists.
-        providers_list = [self._providers[rid] for rid in rids]
-        era_base = np.zeros(len(rids))
-        era_dyn: list[tuple[int, str, CapacityProvider, int]] = []
-        rem_arr = np.zeros(0)
-        stalled = np.zeros(0)
-        obs_members: list[tuple[str, list[int]]] = []
-        arrays_valid = False
-        presolve_horizon = -1
-        pending_i = 0
-        retry_policy = self.retry
-
-        def flush_flow_state() -> None:
-            # Write the authoritative arrays back into the flow objects
-            # (exactly the values the scalar loop would have left there).
-            for j, flow in enumerate(active):
-                flow.remaining_bytes = float(rem_arr[j])
-            if retry_policy is not None:
-                for j, flow in enumerate(active):
-                    s = stalled[j]
-                    flow.stalled_since = None if math.isnan(s) else float(s)
-
-        while pending_i < len(pending) or active or retry_heap:
-            # Admit arrivals and due retries.
-            admit = (
-                pending_i < len(pending)
-                and pending[pending_i].start_time <= now + _TIME_EPS
-            ) or (retry_heap and retry_heap[0][0] <= now + _TIME_EPS)
-            if admit and arrays_valid:
-                flush_flow_state()
-                arrays_valid = False
-            while pending_i < len(pending) and pending[pending_i].start_time <= now + _TIME_EPS:
-                flow = pending[pending_i]
-                pending_i += 1
-                flow.started_at = now
-                active.append(flow)
-                members_dirty = True
-                if bus.debug:
-                    bus.emit("flow.start", t=now, flow_id=flow.flow_id)
-            while retry_heap and retry_heap[0][0] <= now + _TIME_EPS:
-                active.append(heapq.heappop(retry_heap)[2])
-                members_dirty = True
-            if not active:
-                # Idle gap until the next arrival or retry wake-up: the
-                # observed series must record zero throughput, or
-                # integration would extend the previous segment's rate
-                # across the gap.
-                for rid in observe:
-                    series[rid].append(now, 0.0)
-                next_times = (
-                    [pending[pending_i].start_time] if pending_i < len(pending) else []
-                )
-                if retry_heap:
-                    next_times.append(retry_heap[0][0])
-                now = min(next_times)
-                continue
-
-            epoch = int(now / epoch_len) if has_epochs else 0
-            resample_noise(epoch)
-
-            # Per-resource context: depth, flow count and distinct tags.
-            # All of it — and the solver's incidence matrix — depends
-            # only on the active population, not on time or noise.
-            if members_dirty:
-                depth = np.zeros(len(rids))
-                nflows = np.zeros(len(rids), dtype=int)
-                distinct = {}
-                memberships = []
-                for flow in active:
-                    idxs = [rid_index[r] for r in flow.resources]
-                    memberships.append(idxs)
-                    for i in idxs:
-                        depth[i] += flow.weight
-                        nflows[i] += 1
-                        tag = tag_by_index[i]
-                        if tag is not None:
-                            distinct.setdefault(i, set()).add(flow.tags.get(tag))
-                nprocs = np.array([f.nprocs for f in active])
-                req_sizes = np.array(
-                    [
-                        f.request_size_bytes if f.request_size_bytes is not None else np.nan
-                        for f in active
-                    ]
-                )
-                # Fold noise-scaled providers into one base vector: for
-                # them ``capacity == base * noise`` bit for bit, so each
-                # segment needs a single elementwise multiply.  The rest
-                # keep their per-segment Python call.
-                era_base = np.zeros(len(rids))
-                era_dyn = []
-                for i, rid in enumerate(rids):
-                    provider = providers_list[i]
-                    ctx_distinct = len(distinct.get(i, ())) or 1
-                    if getattr(provider, "noise_scaled", False):
-                        era_base[i] = provider.capacity(
-                            ResourceContext(now, depth[i], int(nflows[i]), 1.0, ctx_distinct)
-                        )
-                    else:
-                        era_dyn.append((i, rid, provider, ctx_distinct))
-                obs_members = [
-                    (rid, [j for j, idxs in enumerate(memberships) if rid_index[rid] in idxs])
-                    for rid in observe
-                ]
-                rem_arr = np.array([f.remaining_bytes for f in active], dtype=float)
-                if retry_policy is not None:
-                    stalled = np.array(
-                        [
-                            np.nan if f.stalled_since is None else f.stalled_since
-                            for f in active
-                        ],
-                        dtype=float,
-                    )
-                arrays_valid = True
-                presolve_horizon = -1
-                solver = MaxMinSolver(memberships, len(rids))
-                seg_cache = {}
-                presolved = set()
-                members_dirty = False
-
-            capacities = era_base * multipliers
-            for i, rid, provider, ctx_distinct in era_dyn:
-                capacities[i] = provider.capacity(
-                    ResourceContext(now, depth[i], int(nflows[i]), multipliers[i], ctx_distinct)
-                )
-            if np.any(capacities < 0):
-                raise SimulationError("capacity provider returned a negative capacity")
-
-            # Latency caps are seeded from the uncapped (offered) shares
-            # and only allowed to rise afterwards (see solve_with_caps).
-            # ``caps_used`` is the cap vector the final ``rates`` were
-            # solved against (``caps`` may already hold the next
-            # iterate), which is what the fairness certificate needs.
-            # Identical capacity vectors (same noise level, unchanged
-            # population) reuse the previous fixed point wholesale.
-            solve_t0 = perf_counter() if profiled else 0.0
-            seg_key = capacities.tobytes()
-            cached = seg_cache.get(seg_key)
-            if cached is not None:
-                rates, caps, caps_used, iterations = cached
-                if seg_key in presolved:
-                    # First use of a presolved segment: account it as the
-                    # inline solve it replaced, not as a cache hit.
-                    presolved.discard(seg_key)
-                else:
-                    solve_cache_hits += 1
-            else:
-                iterations = 1
-                rates = solver.solve(capacities)
-                caps = self.latency.flow_caps(rates, nprocs, req_sizes)
-                caps_used = None
-                for _ in range(self.cap_iterations):
-                    caps_used = caps
-                    iterations += 1
-                    rates = solver.solve(capacities, caps)
-                    new_caps = np.maximum(caps, self.latency.flow_caps(rates, nprocs, req_sizes))
-                    if np.allclose(new_caps, caps, rtol=1e-6, atol=1e-9):
-                        break
-                    caps = new_caps
-                if len(seg_cache) >= _SEG_CACHE_SIZE:
-                    seg_cache.clear()
-                    presolved.clear()
-                seg_cache[seg_key] = (rates, caps, caps_used, iterations)
-            solver_iterations += iterations
-            if profiled:
-                prof.record("fluid.solve", perf_counter() - solve_t0)
-            stall_mask = None
-            if retry_policy is not None:
-                # A zero-rate flow is a chunk request making no progress:
-                # start (or keep) its stall clock; any progress clears it.
-                stalled = np.where(
-                    rates <= _RATE_EPS,
-                    np.where(np.isnan(stalled), now, stalled),
-                    np.nan,
-                )
-                stall_mask = ~np.isnan(stalled)
-
-            # Segment boundary: earliest of completion / arrival / epoch
-            # end / capacity breakpoint / retry wake-up / stall timeout.
-            dt = math.inf
-            first_done = math.inf
-            rates_bytes = rates * 1024.0**2
-            moving = rates_bytes > 0
-            if moving.any():
-                first_done = (rem_arr[moving] / rates_bytes[moving]).min()
-                dt = min(dt, first_done)
-            if pending_i < len(pending):
-                dt = min(dt, pending[pending_i].start_time - now)
-            if has_epochs:
-                dt = min(dt, (epoch + 1) * epoch_len - now)
-            if bounds:
-                nxt = bisect_right(bounds, now + _TIME_EPS)
-                if nxt < len(bounds):
-                    dt = min(dt, bounds[nxt] - now)
-            if retry_heap:
-                dt = min(dt, retry_heap[0][0] - now)
-            if stall_mask is not None and stall_mask.any():
-                dt = min(dt, ((stalled[stall_mask] + retry_policy.timeout_s) - now).min())
-            if not math.isfinite(dt) or dt < 0:
-                stuck = [f.flow_id for f in active]
-                raise SimulationError(f"fluid simulation stalled at t={now}: flows {stuck}")
-            dt = max(dt, 0.0)
-
-            if (
-                has_epochs
-                and not era_dyn
-                and retry_policy is None
-                and pending_i >= len(pending)
-                and not retry_heap
-                and noise_rng is not None
-                and not isinstance(self.noise, NoNoise)
-                and math.isfinite(first_done)
-            ):
-                # Stable population, predictable capacities: pre-draw the
-                # noise of the epochs up to the estimated first
-                # completion (a membership change retires the cache
-                # anyway), predict their capacity vectors, and solve them
-                # as one stacked batch seeding the segment cache.  A
-                # prediction that turns out wrong is merely a cache miss
-                # — never a wrong result.
-                start_e = max(epoch, presolve_horizon) + 1
-                horizon = min(
-                    epoch + _PRESOLVE_EPOCHS, int((now + first_done) / epoch_len)
-                )
-                if horizon >= start_e:
-                    presolve_t0 = perf_counter() if profiled else 0.0
-                    draw_ahead(horizon)
-                    lane_caps: list[np.ndarray] = []
-                    lane_keys: list[bytes] = []
-                    seen_keys: set[bytes] = set()
-                    for e in range(start_e, horizon + 1):
-                        mult = predrawn.get(e)
-                        if mult is None:  # pragma: no cover - draw_ahead covers these
-                            break
-                        caps_e = era_base * mult
-                        if np.any(caps_e < 0):
-                            # Leave it to the main loop to surface the
-                            # usual SimulationError at that epoch.
-                            break
-                        key_e = caps_e.tobytes()
-                        if key_e in seg_cache or key_e in seen_keys:
-                            continue
-                        seen_keys.add(key_e)
-                        lane_caps.append(caps_e)
-                        lane_keys.append(key_e)
-                    if lane_caps:
-                        entries = self._solve_lanes(
-                            solver, np.stack(lane_caps), nprocs, req_sizes
-                        )
-                        for key_e, entry in zip(lane_keys, entries):
-                            if len(seg_cache) >= _SEG_CACHE_SIZE:
-                                seg_cache.clear()
-                                presolved.clear()
-                            seg_cache[key_e] = entry
-                            presolved.add(key_e)
-                    if profiled:
-                        prof.record("fluid.presolve", perf_counter() - presolve_t0)
-                    presolve_horizon = horizon
-
-            if bus.debug:
-                bus.emit(
-                    "segment.solve",
-                    t=now,
-                    dt=float(dt),
-                    active=len(active),
-                    iterations=iterations,
-                )
-
-            if checker is not None:
-                checker.on_segment(
-                    now,
-                    dt,
-                    capacities,
-                    memberships,
-                    rates,
-                    flow_caps=caps_used,
-                    flow_labels=[f.flow_id for f in active],
-                )
-
-            for rid, member_js in obs_members:
-                series[rid].append(now, float(sum(rates[j] for j in member_js)))
-
-            if detail:
-                usage = np.zeros(len(rids))
-                for idxs, rate in zip(memberships, rates):
-                    for i in idxs:
-                        usage[i] += rate
-                utilization = {}
-                binding = []
-                for i, rid in enumerate(rids):
-                    if nflows[i] == 0:
-                        continue
-                    cap = capacities[i]
-                    utilization[rid] = float(usage[i] / cap) if cap > 0 else 1.0
-                    if usage[i] >= _BINDING_UTILIZATION * cap:
-                        binding.append(rid)
-                latency_capped = int(np.sum((caps < np.inf) & (rates >= caps - 1e-9)))
-                details.append(
-                    SegmentDetail(
-                        start=now,
-                        duration=dt,
-                        binding=tuple(binding),
-                        utilization=utilization,
-                        latency_capped=latency_capped,
-                    )
-                )
-
-            # Integrate the segment (elementwise, identical to the
-            # per-flow updates it replaces).
-            now += dt
-            if now > max_time:
-                raise SimulationError(f"fluid simulation exceeded max_time={max_time}")
-            rem_arr = rem_arr - rates_bytes * dt
-            done_mask = rem_arr <= _BYTES_EPS
-            if stall_mask is not None:
-                timed_mask = (
-                    ~done_mask
-                    & stall_mask
-                    & (now >= (stalled + retry_policy.timeout_s) - _TIME_EPS)
-                )
-                changed = bool(done_mask.any() or timed_mask.any())
-            else:
-                changed = bool(done_mask.any())
-            if changed:
-                # Some flow completes or times out this segment: flush
-                # the arrays back and take the per-flow slow path so the
-                # completion/retry/abandon bookkeeping stays verbatim.
-                flush_flow_state()
-                arrays_valid = False
-                still_active: list[FluidFlow] = []
-                for flow in active:
-                    if flow.remaining_bytes <= _BYTES_EPS:
-                        flow.remaining_bytes = 0.0
-                        flow.finished_at = now
-                    elif (
-                        retry_policy is not None
-                        and flow.stalled_since is not None
-                        and now >= flow.stalled_since + retry_policy.timeout_s - _TIME_EPS
-                    ):
-                        # Chunk-request timeout: back off and retry, or
-                        # give up once the retry budget is spent.
-                        flow.attempts += 1
-                        flow.stalled_since = None
-                        if flow.attempts > retry_policy.max_retries:
-                            flow.abandoned = True
-                            flow.finished_at = now
-                            trace.append(
-                                FlowTraceEvent(now, flow.flow_id, "abandon", flow.attempts)
-                            )
-                            if bus.enabled:
-                                bus.emit(
-                                    "flow.abandon",
-                                    t=now,
-                                    flow_id=flow.flow_id,
-                                    attempt=flow.attempts,
-                                )
-                            if checker is not None:
-                                checker.retract_bytes(
-                                    [rid_index[r] for r in flow.resources],
-                                    flow.remaining_bytes,
-                                )
-                        else:
-                            trace.append(
-                                FlowTraceEvent(now, flow.flow_id, "retry", flow.attempts)
-                            )
-                            if bus.enabled:
-                                bus.emit(
-                                    "flow.retry",
-                                    t=now,
-                                    flow_id=flow.flow_id,
-                                    attempt=flow.attempts,
-                                )
-                            retry_seq += 1
-                            ready = now + retry_policy.backoff_s(flow.attempts)
-                            heapq.heappush(retry_heap, (ready, retry_seq, flow))
-                    else:
-                        still_active.append(flow)
-                if len(still_active) != len(active):
-                    members_dirty = True
-                active = still_active
-            segments += 1
-
-        for rid in observe:
-            series[rid].append(now, 0.0)
-
-        if checker is not None:
-            for flow in flows:
-                checker.flow_complete(
-                    flow.flow_id, flow.volume_bytes, flow.remaining_bytes, flow.abandoned
-                )
-            checker.finish()
-
-        if bus.enabled:
-            bus.metrics.counter("engine.segments_solved", engine="fluid").inc(segments)
-            bus.metrics.counter("engine.solver_iterations", engine="fluid").inc(
-                solver_iterations
-            )
-            bus.metrics.counter("engine.solve_cache_hits", engine="fluid").inc(
-                solve_cache_hits
-            )
-
-        stats = [f.stats() for f in flows]
-        makespan = max(s.finished_at for s in stats)
-        return FluidResult(
-            stats=stats,
-            makespan=makespan,
-            segments=segments,
-            resource_series=series,
-            segment_details=details,
-            trace=trace,
-        )
+        Latency caps are seeded from the uncapped (offered) shares and
+        only allowed to rise afterwards (see ``solve_with_caps``).
+        ``caps_used`` is the cap vector the final ``rates`` were solved
+        against (``caps`` may already hold the next iterate), which is
+        what the fairness certificate needs.
+        """
+        iterations = 1
+        rates = solver.solve(capacities)
+        caps = self.latency.flow_caps(rates, nprocs, req_sizes)
+        caps_used = None
+        for _ in range(self.cap_iterations):
+            caps_used = caps
+            iterations += 1
+            rates = solver.solve(capacities, caps)
+            new_caps = np.maximum(caps, self.latency.flow_caps(rates, nprocs, req_sizes))
+            if np.allclose(new_caps, caps, rtol=1e-6, atol=1e-9):
+                break
+            caps = new_caps
+        return rates, caps, caps_used, iterations
 
     def _solve_lanes(
         self,
@@ -851,13 +372,13 @@ class FluidSimulation:
     ) -> list[tuple]:
         """Solve a stacked batch of segment capacity vectors.
 
-        Runs the same latency-cap fixed point as the inline segment
-        solve, but with every lane's max-min allocation computed in one
+        Runs the same latency-cap fixed point as :meth:`_solve_one`, but
+        with every lane's max-min allocation computed in one
         :meth:`MaxMinSolver.solve_batch` call per iteration.  Each
         lane's trajectory — rates, caps, the cap vector solved against,
-        iteration count — is bit-identical to the scalar path, so
-        seeding the segment cache with these entries leaves results
-        unchanged.
+        iteration count — is bit-identical to the scalar path, so a
+        segment that takes a presolved entry gets exactly the result it
+        would have solved itself.
         """
         lanes = lane_caps.shape[0]
         first = solver.solve_batch(lane_caps)
@@ -886,3 +407,475 @@ class FluidSimulation:
                 nxt.append(b)
             live = nxt
         return [(out_rates[b], caps[b], caps_used[b], iters[b]) for b in range(lanes)]
+
+
+class _Run:
+    """The mutable state of one :meth:`FluidSimulation.run`.
+
+    :meth:`execute` is the segment loop; every other method is one of its
+    phases.  Population state (incidence, base capacities, per-flow
+    arrays) is rebuilt only when the active flow set changes.  Between
+    rebuilds the per-flow ``rem`` and ``stalled`` arrays are
+    authoritative; :meth:`flush` writes them back into the flow objects
+    (exactly the values a per-flow loop would have left there).
+    """
+
+    def __init__(
+        self,
+        sim: FluidSimulation,
+        rng: np.random.Generator | None,
+        observe: Sequence[str],
+        max_time: float,
+        detail: bool,
+        breakpoints: Sequence[float],
+        trace: list[FlowTraceEvent],
+    ):
+        # Telemetry handles, hoisted once per run.  With no sinks and no
+        # profiler these reduce to boolean attribute checks in the loop;
+        # neither touches the RNG or any simulation state, which is what
+        # keeps telemetry-off runs byte-identical.
+        self.bus = get_bus()
+        self.prof = get_profiler()
+        self.profiled = self.prof.enabled
+        self.sim = sim
+        self.retry = sim.retry
+        self.checker = sim.checker
+        self.observe_ids = observe
+        self.max_time = max_time
+        self.detail = detail
+        self.trace = trace
+        self.rids = list(sim._providers)
+        self.providers = [sim._providers[rid] for rid in self.rids]
+        self.rid_index = {rid: i for i, rid in enumerate(self.rids)}
+        self.tags = [_distinct_tag_of(p) for p in self.providers]
+        self.flows = sorted(sim._flows, key=lambda f: (f.start_time, f.flow_id))
+        if self.checker is not None:
+            self.checker.bind_resources(self.rids)
+            for flow in self.flows:
+                self.checker.expect_bytes(
+                    [self.rid_index[r] for r in flow.resources], flow.volume_bytes
+                )
+        self.next_flow = 0  # index into ``flows`` of the next arrival
+        self.active: list[FluidFlow] = []
+        # Flows sleeping out a retry backoff: (ready_time, seq, flow).
+        self.retry_heap: list[tuple[float, int, FluidFlow]] = []
+        self.retry_seq = 0
+        self.series = {rid: TimeSeries() for rid in observe}
+        self.bounds = tuple(sorted({float(b) for b in breakpoints}))
+        self.now = self.flows[0].start_time
+        self.segments = 0
+        self.solver_iterations = 0
+        self.details: list[SegmentDetail] = []
+
+        self.noise = sim.noise
+        self.rng = rng
+        self.epoch_len = self.noise.epoch_length_s
+        self.has_epochs = math.isfinite(self.epoch_len)
+        self.noisy = rng is not None and not isinstance(self.noise, NoNoise)
+        self.multipliers = np.ones(len(self.rids))
+        self.epoch = -1
+        # Noise epochs drawn ahead for presolved segments, and the
+        # highest epoch drawn so far (ahead or lazily).
+        self.predrawn: dict[int, np.ndarray] = {}
+        self.drawn_max = -1
+
+        self.members_dirty = True
+        self.arrays_valid = False
+        # Presolved fixed points keyed on their predicted capacity bytes,
+        # popped on use and dropped with the population.
+        self.presolved: dict[bytes, tuple] = {}
+        self.presolve_horizon = -1
+
+    def execute(self) -> FluidResult:
+        while self.next_flow < len(self.flows) or self.active or self.retry_heap:
+            if not self.admit():
+                continue
+            epoch = self.epoch_noise()
+            if self.members_dirty:
+                self.rebuild_population()
+            capacities = self.capacities()
+            rates, caps, caps_used, iterations = self.solve_segment(capacities)
+            rates_bytes = rates * 1024.0**2
+            stall_mask = self.stall_clocks(rates)
+            dt, first_done = self.boundary(epoch, rates_bytes, stall_mask)
+            self.presolve_ahead(epoch, first_done)
+            self.observe(dt, capacities, rates, caps, caps_used, iterations)
+            self.advance(dt, rates_bytes, stall_mask)
+        return self.finish()
+
+    def admit(self) -> bool:
+        """Admit due arrivals and retries; False after skipping an idle gap."""
+        now, flows, heap = self.now, self.flows, self.retry_heap
+        due = now + _TIME_EPS
+        arriving = self.next_flow < len(flows) and flows[self.next_flow].start_time <= due
+        if self.arrays_valid and (arriving or (heap and heap[0][0] <= due)):
+            self.flush()
+        while self.next_flow < len(flows) and flows[self.next_flow].start_time <= due:
+            flow = flows[self.next_flow]
+            self.next_flow += 1
+            flow.started_at = now
+            self.active.append(flow)
+            self.members_dirty = True
+            if self.bus.debug:
+                self.bus.emit("flow.start", t=now, flow_id=flow.flow_id)
+        while heap and heap[0][0] <= due:
+            self.active.append(heapq.heappop(heap)[2])
+            self.members_dirty = True
+        if self.active:
+            return True
+        # Idle gap until the next arrival or retry wake-up: the observed
+        # series must record zero throughput, or integration would
+        # extend the previous segment's rate across the gap.
+        for rid in self.observe_ids:
+            self.series[rid].append(now, 0.0)
+        next_times = [flows[self.next_flow].start_time] if self.next_flow < len(flows) else []
+        if heap:
+            next_times.append(heap[0][0])
+        self.now = min(next_times)
+        return False
+
+    def epoch_noise(self) -> int:
+        """The current noise epoch; entering one sets its multipliers."""
+        epoch = int(self.now / self.epoch_len) if self.has_epochs else 0
+        if epoch != self.epoch:
+            self.epoch = epoch
+            if self.noisy:
+                row = self.predrawn.pop(epoch, None)
+                self.multipliers = self.draw(epoch) if row is None else row
+        return epoch
+
+    def draw(self, epoch: int) -> np.ndarray:
+        """One epoch's noise multipliers, drawn in resource order."""
+        row = np.empty(len(self.rids))
+        for i, rid in enumerate(self.rids):
+            row[i] = self.noise.multiplier(rid, epoch, self.rng)
+        self.drawn_max = max(self.drawn_max, epoch)
+        return row
+
+    def rebuild_population(self) -> None:
+        """Per-resource context, solver and per-flow arrays of the active set.
+
+        All of it depends only on the active population, not on time or
+        noise.
+        """
+        n, now, active = len(self.rids), self.now, self.active
+        rid_index, tags = self.rid_index, self.tags
+        depth = np.zeros(n)
+        nflows = np.zeros(n, dtype=int)
+        distinct: dict[int, set] = {}
+        memberships: list[list[int]] = []
+        for flow in active:
+            idxs = [rid_index[r] for r in flow.resources]
+            memberships.append(idxs)
+            for i in idxs:
+                depth[i] += flow.weight
+                nflows[i] += 1
+                tag = tags[i]
+                if tag is not None:
+                    distinct.setdefault(i, set()).add(flow.tags.get(tag))
+        # Fold noise-scaled providers into one base vector: for them
+        # ``capacity == base * noise`` bit for bit, so each segment needs
+        # a single elementwise multiply.  The rest keep their per-segment
+        # Python call.
+        base = np.zeros(n)
+        dynamic: list[tuple[int, CapacityProvider, int]] = []
+        for i, provider in enumerate(self.providers):
+            ctx_distinct = len(distinct.get(i, ())) or 1
+            if getattr(provider, "noise_scaled", False):
+                base[i] = provider.capacity(
+                    ResourceContext(now, depth[i], int(nflows[i]), 1.0, ctx_distinct)
+                )
+            else:
+                dynamic.append((i, provider, ctx_distinct))
+        self.base, self.dynamic = base, dynamic
+        self.depth, self.nflows, self.memberships = depth, nflows, memberships
+        self.nprocs = np.array([f.nprocs for f in active])
+        self.req_sizes = np.array(
+            [f.request_size_bytes if f.request_size_bytes is not None else np.nan for f in active]
+        )
+        self.obs_members = [
+            (rid, [j for j, idxs in enumerate(memberships) if rid_index[rid] in idxs])
+            for rid in self.observe_ids
+        ]
+        self.rem = np.array([f.remaining_bytes for f in active], dtype=float)
+        if self.retry is not None:
+            self.stalled = np.array(
+                [np.nan if f.stalled_since is None else f.stalled_since for f in active],
+                dtype=float,
+            )
+        self.solver = MaxMinSolver(memberships, n)
+        self.presolved = {}
+        self.presolve_horizon = -1
+        self.arrays_valid = True
+        self.members_dirty = False
+
+    def capacities(self) -> np.ndarray:
+        """The segment's capacity vector."""
+        capacities = self.base * self.multipliers
+        for i, provider, ctx_distinct in self.dynamic:
+            capacities[i] = provider.capacity(
+                ResourceContext(
+                    self.now, self.depth[i], int(self.nflows[i]), self.multipliers[i], ctx_distinct
+                )
+            )
+        if np.any(capacities < 0):
+            raise SimulationError("capacity provider returned a negative capacity")
+        return capacities
+
+    def solve_segment(self, capacities: np.ndarray) -> tuple:
+        """The presolved fixed point of this exact capacity vector, else an inline solve."""
+        solve_t0 = perf_counter() if self.profiled else 0.0
+        entry = self.presolved.pop(capacities.tobytes(), None) if self.presolved else None
+        if entry is None:
+            entry = self.sim._solve_one(self.solver, capacities, self.nprocs, self.req_sizes)
+        self.solver_iterations += entry[3]
+        if self.profiled:
+            self.prof.record("fluid.solve", perf_counter() - solve_t0)
+        return entry
+
+    def stall_clocks(self, rates: np.ndarray) -> np.ndarray | None:
+        """Stalled-flow mask under a retry policy (None without one).
+
+        A zero-rate flow is a chunk request making no progress: start (or
+        keep) its stall clock; any progress clears it.
+        """
+        if self.retry is None:
+            return None
+        stalled = self.stalled
+        self.stalled = np.where(
+            rates <= _RATE_EPS, np.where(np.isnan(stalled), self.now, stalled), np.nan
+        )
+        return ~np.isnan(self.stalled)
+
+    def boundary(
+        self, epoch: int, rates_bytes: np.ndarray, stall_mask: np.ndarray | None
+    ) -> tuple[float, float]:
+        """``(dt, first_done)``: the segment length and the first completion.
+
+        The segment ends at the earliest completion, arrival, epoch end,
+        capacity breakpoint, retry wake-up or stall timeout.
+        """
+        now = self.now
+        dt = math.inf
+        first_done = math.inf
+        moving = rates_bytes > 0
+        if moving.any():
+            first_done = (self.rem[moving] / rates_bytes[moving]).min()
+            dt = min(dt, first_done)
+        if self.next_flow < len(self.flows):
+            dt = min(dt, self.flows[self.next_flow].start_time - now)
+        if self.has_epochs:
+            dt = min(dt, (epoch + 1) * self.epoch_len - now)
+        if self.bounds:
+            nxt = bisect_right(self.bounds, now + _TIME_EPS)
+            if nxt < len(self.bounds):
+                dt = min(dt, self.bounds[nxt] - now)
+        if self.retry_heap:
+            dt = min(dt, self.retry_heap[0][0] - now)
+        if stall_mask is not None and stall_mask.any():
+            dt = min(dt, ((self.stalled[stall_mask] + self.retry.timeout_s) - now).min())
+        if not math.isfinite(dt) or dt < 0:
+            stuck = [f.flow_id for f in self.active]
+            raise SimulationError(f"fluid simulation stalled at t={now}: flows {stuck}")
+        return max(dt, 0.0), first_done
+
+    def presolve_ahead(self, epoch: int, first_done: float) -> None:
+        """Solve the coming noise epochs of a stable population as one batch.
+
+        Only a stable population with predictable capacities qualifies:
+        every provider noise-scaled, no future arrivals, no retries.  The
+        noise of the epochs up to the estimated first completion is drawn
+        ahead, their capacity vectors predicted and solved in one stacked
+        batch.  The per-(resource, epoch) draw order is exactly the lazy
+        order, and with no arrivals and no retries no idle gap can skip
+        an epoch, so drawing ahead is byte-safe.  The rng is the per-run
+        "noise" stream and is never touched after the run, so draws
+        beyond the final epoch are inert.  A wrong prediction is never
+        used: its capacity bytes match no segment.
+        """
+        if not (
+            self.has_epochs
+            and self.noisy
+            and not self.dynamic
+            and self.retry is None
+            and self.next_flow >= len(self.flows)
+            and not self.retry_heap
+            and math.isfinite(first_done)
+        ):
+            return
+        start = max(epoch, self.presolve_horizon) + 1
+        horizon = min(epoch + _PRESOLVE_EPOCHS, int((self.now + first_done) / self.epoch_len))
+        if horizon < start:
+            return
+        presolve_t0 = perf_counter() if self.profiled else 0.0
+        for e in range(self.drawn_max + 1, horizon + 1):
+            self.predrawn[e] = self.draw(e)
+        lanes: dict[bytes, np.ndarray] = {}
+        for e in range(start, horizon + 1):
+            caps_e = self.base * self.predrawn[e]
+            if np.any(caps_e < 0):
+                # The segment loop raises the usual SimulationError there.
+                break
+            key = caps_e.tobytes()
+            if key not in self.presolved:
+                lanes.setdefault(key, caps_e)
+        if lanes:
+            entries = self.sim._solve_lanes(
+                self.solver, np.stack(list(lanes.values())), self.nprocs, self.req_sizes
+            )
+            self.presolved.update(zip(lanes, entries))
+        if self.profiled:
+            self.prof.record("fluid.presolve", perf_counter() - presolve_t0)
+        self.presolve_horizon = horizon
+
+    def observe(
+        self,
+        dt: float,
+        capacities: np.ndarray,
+        rates: np.ndarray,
+        caps: np.ndarray,
+        caps_used: np.ndarray | None,
+        iterations: int,
+    ) -> None:
+        """Report the segment: telemetry, invariant checks, series, detail."""
+        now = self.now
+        if self.bus.debug:
+            self.bus.emit(
+                "segment.solve", t=now, dt=float(dt), active=len(self.active), iterations=iterations
+            )
+        if self.checker is not None:
+            self.checker.on_segment(
+                now,
+                dt,
+                capacities,
+                self.memberships,
+                rates,
+                flow_caps=caps_used,
+                flow_labels=[f.flow_id for f in self.active],
+            )
+        for rid, member_js in self.obs_members:
+            self.series[rid].append(now, float(sum(rates[j] for j in member_js)))
+        if self.detail:
+            self.details.append(self.segment_detail(dt, capacities, rates, caps))
+
+    def segment_detail(
+        self, dt: float, capacities: np.ndarray, rates: np.ndarray, caps: np.ndarray
+    ) -> SegmentDetail:
+        usage = np.zeros(len(self.rids))
+        for idxs, rate in zip(self.memberships, rates):
+            for i in idxs:
+                usage[i] += rate
+        utilization = {}
+        binding = []
+        for i, rid in enumerate(self.rids):
+            if self.nflows[i] == 0:
+                continue
+            cap = capacities[i]
+            utilization[rid] = float(usage[i] / cap) if cap > 0 else 1.0
+            if usage[i] >= _BINDING_UTILIZATION * cap:
+                binding.append(rid)
+        latency_capped = int(np.sum((caps < np.inf) & (rates >= caps - 1e-9)))
+        return SegmentDetail(
+            start=self.now,
+            duration=dt,
+            binding=tuple(binding),
+            utilization=utilization,
+            latency_capped=latency_capped,
+        )
+
+    def advance(
+        self, dt: float, rates_bytes: np.ndarray, stall_mask: np.ndarray | None
+    ) -> None:
+        """Integrate the segment; retire flows that complete or time out in it."""
+        self.now += dt
+        now = self.now
+        if now > self.max_time:
+            raise SimulationError(f"fluid simulation exceeded max_time={self.max_time}")
+        self.rem = self.rem - rates_bytes * dt
+        done_mask = self.rem <= _BYTES_EPS
+        changed = bool(done_mask.any())
+        if stall_mask is not None:
+            timed_mask = (
+                ~done_mask & stall_mask & (now >= (self.stalled + self.retry.timeout_s) - _TIME_EPS)
+            )
+            changed = changed or bool(timed_mask.any())
+        if changed:
+            self.retire()
+        self.segments += 1
+
+    def flush(self) -> None:
+        """Write the per-flow arrays back into the flow objects."""
+        for j, flow in enumerate(self.active):
+            flow.remaining_bytes = float(self.rem[j])
+        if self.retry is not None:
+            for j, flow in enumerate(self.active):
+                s = self.stalled[j]
+                flow.stalled_since = None if math.isnan(s) else float(s)
+        self.arrays_valid = False
+
+    def retire(self) -> None:
+        """Per-flow slow path: completions, chunk-request timeouts."""
+        self.flush()
+        now, policy = self.now, self.retry
+        still_active: list[FluidFlow] = []
+        for flow in self.active:
+            if flow.remaining_bytes <= _BYTES_EPS:
+                flow.remaining_bytes = 0.0
+                flow.finished_at = now
+            elif (
+                policy is not None
+                and flow.stalled_since is not None
+                and now >= flow.stalled_since + policy.timeout_s - _TIME_EPS
+            ):
+                self.time_out(flow)
+            else:
+                still_active.append(flow)
+        if len(still_active) != len(self.active):
+            self.members_dirty = True
+        self.active = still_active
+
+    def time_out(self, flow: FluidFlow) -> None:
+        """Back off and retry, or abandon once the retry budget is spent."""
+        now, policy = self.now, self.retry
+        flow.attempts += 1
+        flow.stalled_since = None
+        if flow.attempts > policy.max_retries:
+            flow.abandoned = True
+            flow.finished_at = now
+            self.trace.append(FlowTraceEvent(now, flow.flow_id, "abandon", flow.attempts))
+            if self.bus.enabled:
+                self.bus.emit("flow.abandon", t=now, flow_id=flow.flow_id, attempt=flow.attempts)
+            if self.checker is not None:
+                self.checker.retract_bytes(
+                    [self.rid_index[r] for r in flow.resources], flow.remaining_bytes
+                )
+        else:
+            self.trace.append(FlowTraceEvent(now, flow.flow_id, "retry", flow.attempts))
+            if self.bus.enabled:
+                self.bus.emit("flow.retry", t=now, flow_id=flow.flow_id, attempt=flow.attempts)
+            self.retry_seq += 1
+            ready = now + policy.backoff_s(flow.attempts)
+            heapq.heappush(self.retry_heap, (ready, self.retry_seq, flow))
+
+    def finish(self) -> FluidResult:
+        for rid in self.observe_ids:
+            self.series[rid].append(self.now, 0.0)
+        if self.checker is not None:
+            for flow in self.flows:
+                self.checker.flow_complete(
+                    flow.flow_id, flow.volume_bytes, flow.remaining_bytes, flow.abandoned
+                )
+            self.checker.finish()
+        if self.bus.enabled:
+            metrics = self.bus.metrics
+            metrics.counter("engine.segments_solved", engine="fluid").inc(self.segments)
+            metrics.counter("engine.solver_iterations", engine="fluid").inc(self.solver_iterations)
+        stats = [f.stats() for f in self.flows]
+        return FluidResult(
+            stats=stats,
+            makespan=max(s.finished_at for s in stats),
+            segments=self.segments,
+            resource_series=self.series,
+            segment_details=self.details,
+            trace=self.trace,
+        )

@@ -13,12 +13,11 @@ short damped fixed-point iteration (caps only ever shrink, so the
 iteration converges monotonically).
 
 The implementation is vectorised with NumPy over an incidence matrix.
-The fluid engine solves thousands of segments over the *same* flow
-population — flows enter and leave far less often than capacities
-change — so :class:`MaxMinSolver` builds the incidence matrix once per
-population and reuses it across solves, with a small keyed cache for
-repeated ``(capacities, flow_caps)`` instances (noise epochs revisit
-the same capacity levels).  :func:`max_min_rates` remains the one-shot
+The fluid engine solves many segments over the *same* flow population
+— flows enter and leave far less often than capacities change — so
+:class:`MaxMinSolver` builds the incidence matrix once per population
+and reuses it across solves.  Nothing is memoized: every call solves,
+and returns a fresh array.  :func:`max_min_rates` remains the one-shot
 functional entry point.
 """
 
@@ -72,27 +71,18 @@ def _build_incidence(
 
 
 class MaxMinSolver:
-    """Progressive-filling solver with a cached incidence matrix.
+    """Progressive-filling solver with a reusable incidence matrix.
 
     Built once for a fixed flow population (``memberships`` over
     ``num_resources`` resources), then solved repeatedly for varying
     capacities and per-flow caps.  Compared with calling
     :func:`max_min_rates` per segment this avoids re-validating and
     re-building the incidence matrix — the dominant cost for the fluid
-    engine's problem sizes — and adds a keyed cache so identical
-    ``(capacities, flow_caps)`` inputs (noise epochs revisiting the same
-    level, repeated cap-iteration fixpoints) return instantly.
-
-    Returned rate arrays are shared with the cache and marked
-    read-only; copy before mutating.
+    engine's problem sizes.  Every solve computes afresh; the returned
+    rate arrays belong to the caller.
     """
 
-    def __init__(
-        self,
-        memberships: Sequence[Sequence[int]],
-        num_resources: int,
-        cache_size: int = 64,
-    ):
+    def __init__(self, memberships: Sequence[Sequence[int]], num_resources: int):
         self.num_resources = int(num_resources)
         self.num_flows = len(memberships)
         self._incidence = _build_incidence(memberships, self.num_resources)
@@ -106,8 +96,6 @@ class MaxMinSolver:
         # boolean-mask reductions of the scalar path bit for bit).
         # Built lazily: only batched solves need it.
         self._inc_int_cache: np.ndarray | None = None
-        self._cache: dict[tuple[bytes, bytes | None], np.ndarray] = {}
-        self._cache_size = int(cache_size)
 
     @property
     def _inc_int(self) -> np.ndarray:
@@ -120,13 +108,6 @@ class MaxMinSolver:
         """The (read-only) boolean flows x resources matrix."""
         return self._incidence
 
-    @property
-    def cache_len(self) -> int:
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
     def solve(
         self,
         capacities: np.ndarray | Sequence[float],
@@ -134,8 +115,7 @@ class MaxMinSolver:
     ) -> np.ndarray:
         """Max-min fair rates for this population under ``capacities``.
 
-        Semantics are identical to :func:`max_min_rates`; the returned
-        array is cached and read-only.
+        Semantics are identical to :func:`max_min_rates`.
         """
         caps = np.asarray(capacities, dtype=float)
         if caps.shape != (self.num_resources,):
@@ -145,24 +125,13 @@ class MaxMinSolver:
         if np.any(caps < 0):
             raise FlowError("negative resource capacity")
         fc: np.ndarray | None = None
-        fc_key: bytes | None = None
         if flow_caps is not None:
             fc = np.asarray(flow_caps, dtype=float)
             if fc.shape != (self.num_flows,):
                 raise FlowError("flow_caps must have one entry per flow")
             if np.any(fc < 0):
                 raise FlowError("negative flow cap")
-            fc_key = fc.tobytes()
-        key = (caps.tobytes(), fc_key)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        rates = self._fill(caps, fc)
-        rates.setflags(write=False)
-        if len(self._cache) >= self._cache_size:
-            self._cache.clear()
-        self._cache[key] = rates
-        return rates
+        return self._fill(caps, fc)
 
     def solve_batch(
         self,
@@ -177,8 +146,7 @@ class MaxMinSolver:
         ``solve(capacities[b], flow_caps[b])``: the batched fill runs
         every lane through the same elementwise arithmetic the scalar
         loop performs, and its only reductions (mins, 0/1 integer sums)
-        are exact.  Lanes hit the same keyed cache as :meth:`solve`, so
-        mixing batched and scalar calls stays coherent.
+        are exact.
         """
         caps = np.asarray(capacities, dtype=float)
         if caps.ndim != 2 or caps.shape[1] != self.num_resources:
@@ -200,30 +168,7 @@ class MaxMinSolver:
                 )
             if np.any(fc < 0):
                 raise FlowError("negative flow cap")
-        lanes = caps.shape[0]
-        out = np.zeros((lanes, self.num_flows))
-        keys: list[tuple[bytes, bytes | None]] = []
-        misses: list[int] = []
-        for b in range(lanes):
-            key = (caps[b].tobytes(), fc[b].tobytes() if fc is not None else None)
-            keys.append(key)
-            hit = self._cache.get(key)
-            if hit is not None:
-                out[b] = hit
-            else:
-                misses.append(b)
-        if misses:
-            fresh = self._fill_batch(
-                caps[misses], None if fc is None else fc[misses]
-            )
-            for row, b in enumerate(misses):
-                rates = fresh[row].copy()
-                rates.setflags(write=False)
-                if len(self._cache) >= self._cache_size:
-                    self._cache.clear()
-                self._cache[keys[b]] = rates
-                out[b] = rates
-        return out
+        return self._fill_batch(caps, fc)
 
     def _fill_batch(self, caps: np.ndarray, flow_caps: np.ndarray | None) -> np.ndarray:
         """Progressive filling over stacked lanes (validated inputs only).
@@ -391,8 +336,7 @@ def max_min_rates(
         raise FlowError("negative resource capacity")
     if nflows == 0:
         return np.zeros(0)
-    solver = MaxMinSolver(memberships, nres, cache_size=1)
-    return solver.solve(caps, flow_caps).copy()
+    return MaxMinSolver(memberships, nres).solve(caps, flow_caps)
 
 
 def solve_with_caps(

@@ -14,7 +14,7 @@ monotonically increasing sequence number.
 
 from .events import Event, EventQueue, ScheduledCallback
 from .kernel import Process, Simulator, Timeout
-from .monitor import Probe, TimeSeries, Trace
+from .monitor import TimeSeries
 from .resources import Container, Resource, Store
 
 __all__ = [
@@ -27,7 +27,5 @@ __all__ = [
     "Resource",
     "Container",
     "Store",
-    "Trace",
     "TimeSeries",
-    "Probe",
 ]

@@ -1,99 +1,19 @@
-"""Telemetry for simulations: traces, time series and probes.
+"""Time series for simulations.
 
-These are used by the engines to record per-server bandwidth timelines
-(the data behind the paper's Figure 9) and by tests to assert on internal
-behaviour without reaching into private state.
-
-.. deprecated::
-    :class:`Trace` and :class:`Probe` are now thin wrappers over the
-    structured event bus of :mod:`repro.telemetry` — every record is
-    also published as a debug-level ``trace.record`` event, so there is
-    exactly one trace mechanism.  New code should emit through
-    :func:`repro.telemetry.get_bus` directly; these classes stay for
-    compatibility (and for :class:`TimeSeries`, which remains the
-    integration-friendly in-memory representation).
+The engines record per-server bandwidth timelines (the data behind the
+paper's Figure 9) as :class:`TimeSeries`, the integration-friendly
+in-memory representation.  Structured events go through
+:func:`repro.telemetry.get_bus`.
 """
 
 from __future__ import annotations
 
 import bisect
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from ..telemetry.bus import get_bus
-
-__all__ = ["Trace", "TimeSeries", "Probe"]
-
-
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"simcore.monitor.{name} is deprecated: emit through "
-        "repro.telemetry.get_bus() instead (records already appear as "
-        "debug-level 'trace.record' events)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _json_value(value: Any) -> Any:
-    """Coerce a trace value to something the JSONL schema accepts."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return str(value)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry: ``(time, key, value)``."""
-
-    time: float
-    key: str
-    value: Any
-
-
-class Trace:
-    """An append-only log of keyed records ordered by time.
-
-    .. deprecated:: see the module docstring — records are mirrored to
-       the event bus as debug-level ``trace.record`` events.
-    """
-
-    def __init__(self) -> None:
-        _warn_deprecated("Trace")
-        self._records: list[TraceRecord] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def record(self, time: float, key: str, value: Any) -> None:
-        if self._records and time < self._records[-1].time - 1e-12:
-            raise ValueError("trace records must be appended in time order")
-        self._records.append(TraceRecord(time, key, value))
-        bus = get_bus()
-        if bus.debug:
-            bus.emit("trace.record", t=time, key=key, value=_json_value(value))
-
-    def select(self, key: str) -> list[TraceRecord]:
-        """All records with the given key, in time order."""
-        return [r for r in self._records if r.key == key]
-
-    def keys(self) -> set[str]:
-        return {r.key for r in self._records}
-
-    def series(self, key: str) -> "TimeSeries":
-        """Extract a :class:`TimeSeries` of the numeric values under ``key``."""
-        recs = self.select(key)
-        return TimeSeries([r.time for r in recs], [float(r.value) for r in recs])
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -146,28 +66,3 @@ class TimeSeries:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class Probe:
-    """A named sampling hook: call :meth:`sample` to record ``fn()``.
-
-    .. deprecated:: see the module docstring — samples are mirrored to
-       the event bus as debug-level ``trace.record`` events under the
-       key ``probe:<name>``.
-    """
-
-    name: str
-    fn: Callable[[], float]
-    series: TimeSeries = field(default_factory=TimeSeries)
-
-    def __post_init__(self) -> None:
-        _warn_deprecated("Probe")
-
-    def sample(self, time: float) -> float:
-        value = float(self.fn())
-        self.series.append(time, value)
-        bus = get_bus()
-        if bus.debug:
-            bus.emit("trace.record", t=time, key=f"probe:{self.name}", value=value)
-        return value

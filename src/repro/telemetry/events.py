@@ -269,7 +269,6 @@ EVENT_TYPES: dict[str, dict[str, tuple[type, ...]]] = {
         "ok": (bool,),
     },
     # -- session-level -------------------------------------------------------
-    "trace.record": {"key": (str,)},
     # A span boundary marker emitted by tracing-enabled sessions:
     # ``name`` is one of the stable span names (repro.telemetry.trace),
     # ``phase`` is "begin" or "end"; optional ``elapsed_s`` (machine
@@ -284,7 +283,6 @@ DEBUG_EVENTS = frozenset(
     {
         "flow.start",
         "segment.solve",
-        "trace.record",
         "worker.heartbeat",
         "orchestrator.dispatch",
         "orchestrator.batch",
@@ -297,7 +295,6 @@ _OPTIONAL_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
     # The batch id a dispatched run travelled in (batched dispatch).
     "orchestrator.dispatch": {"batch": (int,)},
     "invariant.check": {"detail": (str,)},
-    "trace.record": {"value": (int, float, str, bool, type(None))},
     "segment.solve": {"binding": (list,)},
     # Real execution time of the job on its worker (tracing sessions
     # only; machine time, ``t`` null — the worker.end precedent).

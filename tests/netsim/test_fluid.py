@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FlowError, SimulationError
+from repro.netsim import fluid
 from repro.netsim.flows import FluidFlow
 from repro.netsim.fluid import (
     ConstantCapacity,
@@ -14,6 +15,8 @@ from repro.netsim.fluid import (
     ResourceContext,
 )
 from repro.netsim.latency import BlockingRequestModel
+from repro.netsim.maxmin import MaxMinSolver
+from repro.telemetry.bus import session
 from repro.units import GiB, MiB
 
 
@@ -181,6 +184,64 @@ class TestNoise:
     def test_nonoise_has_no_epochs(self):
         assert math.isinf(NoNoise().epoch_length_s)
         assert NoNoise().multiplier("x", 0, np.random.default_rng(0)) == 1.0
+
+
+class TestEpochPresolve:
+    """Presolving a stable population's noise epochs changes no result."""
+
+    class Lognormal:
+        epoch_length_s = 0.05
+
+        def multiplier(self, rid, epoch, rng):
+            return float(rng.lognormal(0.0, 0.3))
+
+    def run(self):
+        sim = FluidSimulation(noise=self.Lognormal(), latency=BlockingRequestModel(MiB, 2e-3))
+        for i in range(3):
+            sim.add_resource(f"server{i}", 900.0)
+        sim.add_resource("san", 2000.0)
+        for i in range(6):
+            sim.add_flow(
+                flow(
+                    f"f{i}",
+                    [f"server{i % 3}", "san"],
+                    (i + 1) * 64 * MiB,
+                    nprocs=4.0,
+                    request_size_bytes=MiB,
+                )
+            )
+        with session(ring=4) as bus:
+            result = sim.run(
+                rng=np.random.default_rng(3), observe=["san", "server0"], detail=True
+            )
+            iterations = bus.metrics.counter("engine.solver_iterations", engine="fluid").value
+        return result, iterations
+
+    def test_inline_solves_match_presolved(self, monkeypatch):
+        batches = []
+        solve_batch = MaxMinSolver.solve_batch
+
+        def spy(solver, *args, **kwargs):
+            batches.append(args[0].shape[0])
+            return solve_batch(solver, *args, **kwargs)
+
+        monkeypatch.setattr(MaxMinSolver, "solve_batch", spy)
+        presolved, presolved_iterations = self.run()
+        assert batches, "the default run must presolve noise epochs in batches"
+        batches.clear()
+        monkeypatch.setattr(fluid, "_PRESOLVE_EPOCHS", 0)
+        inline, inline_iterations = self.run()
+        assert not batches
+
+        assert presolved.segments > 20
+        assert inline.stats == presolved.stats
+        assert inline.makespan == presolved.makespan
+        assert inline.segments == presolved.segments
+        assert inline.segment_details == presolved.segment_details
+        assert inline_iterations == presolved_iterations
+        for rid, series in presolved.resource_series.items():
+            assert inline.resource_series[rid].times == series.times
+            assert inline.resource_series[rid].values == series.values
 
 
 class TestLatencyIntegration:

@@ -238,7 +238,7 @@ class TestSolveWithCaps:
 
 
 class TestMaxMinSolver:
-    """The persistent solver: incidence reuse, keyed cache, equivalence."""
+    """The persistent solver: incidence reuse, batched lanes, equivalence."""
 
     def problem(self, seed=0, nflows=24, nres=8):
         rng = np.random.default_rng(seed)
@@ -265,42 +265,10 @@ class TestMaxMinSolver:
             max_min_rates(memberships, caps, flow_caps),
         )
 
-    def test_cache_hit_returns_same_array(self):
-        memberships, caps = self.problem()
-        solver = MaxMinSolver(memberships, caps.shape[0])
-        first = solver.solve(caps)
-        assert solver.solve(caps) is first
-        assert solver.cache_len == 1
-
-    def test_flow_caps_key_the_cache(self):
-        memberships, caps = self.problem()
-        solver = MaxMinSolver(memberships, caps.shape[0])
-        uncapped = solver.solve(caps)
-        capped = solver.solve(caps, np.full(len(memberships), 5.0))
-        assert solver.cache_len == 2
-        assert capped is not uncapped
-        assert np.all(capped <= 5.0 + 1e-9)
-
-    def test_clear_cache(self):
-        memberships, caps = self.problem()
-        solver = MaxMinSolver(memberships, caps.shape[0])
-        solver.solve(caps)
-        solver.clear_cache()
-        assert solver.cache_len == 0
-
-    def test_cache_overflow_resets_not_grows(self):
-        memberships, caps = self.problem()
-        solver = MaxMinSolver(memberships, caps.shape[0], cache_size=4)
-        for i in range(10):
-            solver.solve(caps * (1.0 + 0.01 * i))
-        assert solver.cache_len <= 4
-
     def test_results_are_read_only(self):
+        """The incidence matrix is shared by every solve of the population."""
         memberships, caps = self.problem()
         solver = MaxMinSolver(memberships, caps.shape[0])
-        rates = solver.solve(caps)
-        with pytest.raises(ValueError):
-            rates[0] = 0.0
         assert solver.incidence.flags.writeable is False
 
     def test_wrong_capacity_shape_rejected(self):
@@ -328,6 +296,20 @@ class TestMaxMinSolver:
         solver = MaxMinSolver(memberships, len(caps))
         np.testing.assert_array_equal(
             solver.solve(caps), max_min_rates(memberships, caps)
+        )
+        # Each lane of a stacked solve is bit-identical to a scalar
+        # solve of that lane, uncapped and under per-flow caps.
+        lanes = np.stack([caps * scale for scale in (1.0, 0.37, 2.5, 1e-3)])
+        flow_caps = np.stack(
+            [np.linspace(0.1, 300.0, len(memberships)) * (b + 1) for b in range(len(lanes))]
+        )
+        flow_caps[1, ::2] = np.inf
+        np.testing.assert_array_equal(
+            solver.solve_batch(lanes), np.stack([solver.solve(row) for row in lanes])
+        )
+        np.testing.assert_array_equal(
+            solver.solve_batch(lanes, flow_caps),
+            np.stack([solver.solve(row, fc) for row, fc in zip(lanes, flow_caps)]),
         )
 
 

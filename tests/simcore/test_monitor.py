@@ -1,34 +1,9 @@
-"""Traces and time series."""
+"""Time series."""
 
 import numpy as np
 import pytest
 
-from repro.simcore.monitor import Probe, TimeSeries, Trace
-
-
-class TestTrace:
-    def test_record_and_select(self):
-        tr = Trace()
-        tr.record(0.0, "bw", 100)
-        tr.record(1.0, "qlen", 3)
-        tr.record(2.0, "bw", 120)
-        assert [r.value for r in tr.select("bw")] == [100, 120]
-        assert tr.keys() == {"bw", "qlen"}
-        assert len(tr) == 3
-
-    def test_out_of_order_rejected(self):
-        tr = Trace()
-        tr.record(5.0, "x", 1)
-        with pytest.raises(ValueError):
-            tr.record(4.0, "x", 2)
-
-    def test_series_extraction(self):
-        tr = Trace()
-        tr.record(0.0, "bw", 10.0)
-        tr.record(2.0, "bw", 20.0)
-        series = tr.series("bw")
-        assert series.value_at(1.0) == 10.0
-        assert series.value_at(2.0) == 20.0
+from repro.simcore.monitor import TimeSeries
 
 
 class TestTimeSeries:
@@ -71,25 +46,7 @@ class TestTimeSeries:
         assert values.tolist() == [1.0, 2.0]
 
 
-class TestProbe:
-    def test_sampling(self):
-        state = {"v": 1.0}
-        probe = Probe("queue", lambda: state["v"])
-        probe.sample(0.0)
-        state["v"] = 3.0
-        probe.sample(1.0)
-        assert probe.series.values == [1.0, 3.0]
-
-
 class TestDeprecation:
-    def test_trace_warns(self):
-        with pytest.warns(DeprecationWarning, match="Trace is deprecated"):
-            Trace()
-
-    def test_probe_warns(self):
-        with pytest.warns(DeprecationWarning, match="Probe is deprecated"):
-            Probe("q", lambda: 0.0)
-
     def test_timeseries_does_not_warn(self):
         import warnings
 

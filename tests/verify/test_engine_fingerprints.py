@@ -1,0 +1,152 @@
+"""Exact engine output, pinned to ``MODEL_REVISION``.
+
+The conformance golden compares the engines at a tolerance and the
+replay suite only checks that a run matches itself, so neither notices a
+change that moves one bit of engine output.  The result caches key their
+entries on ``MODEL_REVISION``, so such a change would keep serving
+results computed by the old engine.  This golden pins the full
+:func:`~repro.verify.replay.result_fingerprint` of a small corpus at
+seed 0, reps 0 and 1.  When a fingerprint changes on purpose, bump
+``MODEL_REVISION`` (``repro/scenario/spec.py``) and regenerate::
+
+    PYTHONPATH=src python -m tests.verify.test_engine_fingerprints
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from repro.engine.base import EngineOptions
+from repro.experiments import exp_faults
+from repro.methodology.plan import ExperimentSpec
+from repro.scenario import MODEL_REVISION
+from repro.scenario.compile import compile_scenario
+from repro.service import SimulationService
+from repro.verify.replay import result_fingerprint
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "engine_fingerprints.json"
+SEED = 0
+REPS = (0, 1)
+
+
+class Case(NamedTuple):
+    name: str
+    spec: ExperimentSpec
+    options: EngineOptions = EngineOptions()
+    engine: str = "fluid"
+    max_nodes: int = 32
+
+
+def _fig6(scenario: str, nodes: int, stripe: int) -> ExperimentSpec:
+    factors = {"stripe_count": stripe, "num_nodes": nodes, "ppn": 8, "total_gib": 32}
+    return ExperimentSpec("fig6", scenario, factors)
+
+
+CORPUS = (
+    # Noisy and network-bound: the epoch presolve engages.
+    Case("fig6-s1-n8-stripe4", _fig6("scenario1", 8, 4)),
+    Case("fig6-s2-n32-stripe8", _fig6("scenario2", 32, 8)),
+    # A noisy run through a mid-run target outage: retries, and the
+    # outage's start and end as segment breakpoints.
+    Case(
+        "faults-failover-outage",
+        ExperimentSpec(
+            "faults",
+            "scenario1",
+            {"chooser": "failover", "stripe_count": 4, "num_nodes": 8, "ppn": 8, "total_gib": 32},
+        ),
+        EngineOptions(fault_schedule=exp_faults.timeline_schedule()),
+    ),
+    # The noiseless outage timeline: segments revisit capacity vectors.
+    Case(
+        "faults-timeline-noiseless",
+        ExperimentSpec(
+            "faults",
+            "scenario1",
+            {"chooser": "fixed:101,201,102,202", "stripe_count": 4, "num_nodes": 8, "ppn": 8},
+        ),
+        EngineOptions(
+            noise_enabled=False, observe_servers=True, fault_schedule=exp_faults.timeline_schedule()
+        ),
+        max_nodes=8,
+    ),
+    Case(
+        "chunksize-128k-n8",
+        ExperimentSpec(
+            "chunksize",
+            "scenario2",
+            {"chunk_kib": 128, "num_nodes": 8, "ppn": 8, "stripe_count": 8, "total_gib": 32},
+        ),
+    ),
+    Case(
+        "des-s1-n2-stripe4",
+        ExperimentSpec(
+            "des", "scenario1", {"num_nodes": 2, "ppn": 4, "stripe_count": 4, "total_gib": 0.0625}
+        ),
+        engine="des",
+    ),
+)
+
+
+def fingerprints() -> dict[str, dict[str, str]]:
+    """``{case: {rep: result fingerprint}}`` of the corpus, executed now."""
+    service = SimulationService()
+    out: dict[str, dict[str, str]] = {}
+    for case in CORPUS:
+        scenario = compile_scenario(
+            case.spec, seed=SEED, options=case.options, max_nodes=case.max_nodes, engine=case.engine
+        )
+        out[case.name] = {
+            str(rep): result_fingerprint(service.run(scenario, rep, cache=False)) for rep in REPS
+        }
+    return out
+
+
+def regenerate(path: Path = GOLDEN) -> None:
+    """Rewrite the golden from the engines as they are now."""
+    data = {"model_revision": MODEL_REVISION, "seed": SEED, "cases": fingerprints()}
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+_REGENERATE = (
+    "bump MODEL_REVISION in repro/scenario/spec.py and regenerate the golden with "
+    "`PYTHONPATH=src python -m tests.verify.test_engine_fingerprints`"
+)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    assert GOLDEN.exists(), f"{GOLDEN} must be committed; {_REGENERATE}"
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_is_for_this_model_revision(golden):
+    assert golden["model_revision"] == MODEL_REVISION, (
+        f"the engine-fingerprint golden was made at MODEL_REVISION "
+        f"{golden['model_revision']}, the code is at {MODEL_REVISION}: regenerate it"
+    )
+    assert golden["seed"] == SEED
+    assert set(golden["cases"]) == {case.name for case in CORPUS}
+
+
+def test_engine_output_unchanged(golden):
+    now = fingerprints()
+    changed = [
+        f"{name} rep {rep}"
+        for name, reps in now.items()
+        for rep, fp in reps.items()
+        if golden["cases"].get(name, {}).get(rep) != fp
+    ]
+    assert not changed, (
+        f"engine output changed for {', '.join(changed)} at MODEL_REVISION "
+        f"{MODEL_REVISION}; cached results would go stale: {_REGENERATE}"
+    )
+
+
+if __name__ == "__main__":
+    regenerate()
+    print(f"wrote {GOLDEN}")
