@@ -35,7 +35,7 @@ from ..topology.graph import Topology
 from ..verify.invariants import RuntimeChecker, make_checker
 from ..verify.level import ValidationLevel
 from ..workload.application import Application
-from ..workload.patterns import AccessPattern
+from ..workload.patterns import AccessPattern, IORConfig
 
 __all__ = [
     "EngineOptions",
@@ -54,29 +54,16 @@ FABRIC_RESOURCE = f"fabric:{SWITCH_NAME}"
 SAN_RESOURCE = "san:storage"
 
 
-@lru_cache(maxsize=65536)
-def _regions_key(config, rank: int, nprocs: int, period: int) -> tuple[tuple[int, int], ...]:
-    """A rank's regions as (offset % period, length) pairs.
-
-    ``IORConfig`` is frozen/hashable and the region list is a pure
-    function of (config, rank, nprocs), so generating it — the layout
-    walk itself — is cached across repetitions.
-    """
-    return tuple((r.offset % period, r.length) for r in config.regions(rank, nprocs))
-
-
 @lru_cache(maxsize=4096)
 def _volume_by_position(
     stripe_count: int, chunk_size: int, regions: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, float], ...]:
     """Per stripe *position*, the bytes a rank's regions put there.
 
-    Placements change every repetition but the layout geometry does
-    not, so the expensive region walk is keyed on (stripe geometry,
-    normalised regions) and shared across repetitions; the caller maps
-    positions back to this repetition's target ids.  Positions appear
-    in first-contribution order with float accumulation per region, so
-    the mapped dict is bit-identical to the per-target walk it replaces.
+    ``regions`` are (offset % stripe width, length) pairs: positions are
+    periodic in the stripe width, so ranks whose regions normalise alike
+    share one walk.  Positions appear in first-contribution order with
+    float accumulation per region, exactly as a per-target walk adds.
     """
     out: dict[int, float] = {}
     for offset, length in regions:
@@ -86,6 +73,46 @@ def _volume_by_position(
             if n:
                 out[p] = out.get(p, 0.0) + n
     return tuple(out.items())
+
+
+def _layout_sums(
+    config: IORConfig, nprocs: int, ranks: range, stripe_count: int, chunk_size: int
+) -> tuple[tuple[int, float, float, float], ...]:
+    """Per stripe position, ``(bytes, depth weight, process share)`` of ``ranks``.
+
+    The ranks write one file with the given geometry.  Each rank adds,
+    in rank order, its bytes on every position it touches, and ``1/k``
+    of a process and ``e/k`` outstanding requests there: a blocking
+    transfer of t bytes holds one chunk request per crossed chunk
+    concurrently, so each process contributes e/k requests to each of
+    its k targets (e = chunks per transfer).  Beyond
+    ``_EXACT_REGION_LIMIT`` regions per rank, each rank spreads its
+    bytes uniformly over the positions instead of walking them.
+    """
+    e = max(1, config.transfer_size // chunk_size)
+    weight, share = e / stripe_count, 1.0 / stripe_count
+    regions_per_rank = config.segments * (
+        config.transfers_per_block if config.pattern is AccessPattern.N1_STRIDED else 1
+    )
+    uniform = None
+    if regions_per_rank > _EXACT_REGION_LIMIT:
+        # Many transfers round-robin evenly over the positions.
+        even = config.bytes_per_process / stripe_count
+        uniform = tuple((p, even) for p in range(stripe_count))
+    period = stripe_count * chunk_size
+    volumes: dict[int, float] = {}
+    weights: dict[int, float] = {}
+    procs: dict[int, float] = {}
+    for rank in ranks:
+        by_position = uniform
+        if by_position is None:
+            regions = tuple((r.offset % period, r.length) for r in config.regions(rank, nprocs))
+            by_position = _volume_by_position(stripe_count, chunk_size, regions)
+        for p, nbytes in by_position:
+            volumes[p] = volumes.get(p, 0.0) + nbytes
+            weights[p] = weights.get(p, 0.0) + weight
+            procs[p] = procs.get(p, 0.0) + share
+    return tuple((p, volumes[p], weights[p], procs[p]) for p in volumes)
 
 
 @dataclass(frozen=True)
@@ -190,6 +217,10 @@ class EngineBase:
         # Routes are a pure function of the (static) topology, so the
         # resource tuples are memoised for the engine's lifetime.
         self._route_cache: dict[tuple[str, str, int], tuple[str, ...]] = {}
+        # Per-file layout sums (see ``_file_sums``), keyed on geometry and
+        # rank range; like the routes, deterministic and immutable, so
+        # threads sharing the engine may at worst compute one twice.
+        self._layout_cache: dict[tuple, tuple[tuple[int, float, float, float], ...]] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -208,25 +239,22 @@ class EngineBase:
             return {None: fs.create_file(app.file_path())}
         return {rank: fs.create_file(app.file_path(rank)) for rank in range(app.nprocs)}
 
-    @staticmethod
-    def per_target_volume(app: Application, rank: int, inode: FileInode) -> dict[int, float]:
-        """Bytes of ``rank``'s writes landing on each target of its file."""
-        pattern = inode.pattern
-        total_regions = app.config.segments * (
-            app.config.transfers_per_block
-            if app.config.pattern is AccessPattern.N1_STRIDED
-            else 1
-        )
-        if total_regions > _EXACT_REGION_LIMIT:
-            # Uniform approximation: many transfers round-robin evenly.
-            share = app.config.bytes_per_process / pattern.stripe_count
-            return {t: share for t in pattern.targets}
-        # Region offsets are periodic in the stripe width, so the walk is
-        # cached per position and mapped onto this file's target order.
-        period = pattern.stripe_count * pattern.chunk_size
-        regions_key = _regions_key(app.config, rank, app.nprocs, period)
-        by_position = _volume_by_position(pattern.stripe_count, pattern.chunk_size, regions_key)
-        return {pattern.targets[p]: v for p, v in by_position}
+    def _file_sums(
+        self, app: Application, ranks: range, inode: FileInode
+    ) -> tuple[tuple[int, float, float, float], ...]:
+        """:func:`_layout_sums` of ``ranks`` writing ``inode``, memoised.
+
+        The sums depend on the file's geometry, not on its targets, so
+        they are computed once per engine and mapped onto each
+        repetition's placement by the caller.
+        """
+        k, chunk = inode.pattern.stripe_count, inode.pattern.chunk_size
+        key = (app.config, app.nprocs, ranks.start, ranks.stop, k, chunk)
+        sums = self._layout_cache.get(key)
+        if sums is None:
+            sums = _layout_sums(app.config, app.nprocs, ranks, k, chunk)
+            self._layout_cache[key] = sums
+        return sums
 
     def _route_resources(self, node: str, server: str, target_id: int) -> tuple[str, ...]:
         key = (node, server, target_id)
@@ -338,20 +366,22 @@ class EngineBase:
             nprocs_w: dict[tuple[str, int], float] = {}
             targets: set[int] = set()
             for node in app.nodes:
-                for rank in app.ranks_of_node(node):
-                    inode = inodes[None] if None in inodes else inodes[rank]
-                    k = inode.pattern.stripe_count
-                    # A blocking transfer of t bytes holds one chunk
-                    # request per crossed chunk concurrently, so each
-                    # process contributes e/k outstanding requests to
-                    # each of its k targets (e = chunks per transfer) —
-                    # clamped below by the node's client RPC slots.
-                    e = max(1, app.config.transfer_size // inode.pattern.chunk_size)
-                    for tid, nbytes in self.per_target_volume(app, rank, inode).items():
-                        volumes[(node, tid)] = volumes.get((node, tid), 0.0) + nbytes
-                        weights[(node, tid)] = weights.get((node, tid), 0.0) + e / k
-                        nprocs_w[(node, tid)] = nprocs_w.get((node, tid), 0.0) + 1.0 / k
-                        targets.add(tid)
+                ranks = app.ranks_of_node(node)
+                # The node's ranks grouped by the file they write: one
+                # group for a shared file, one per rank for N-N.
+                if None in inodes:
+                    groups = [(ranks, inodes[None])]
+                else:
+                    groups = [(range(rank, rank + 1), inodes[rank]) for rank in ranks]
+                for group, inode in groups:
+                    # Positions map one-to-one onto the file's targets.
+                    file_targets = inode.pattern.targets
+                    for p, nbytes, weight, procs in self._file_sums(app, group, inode):
+                        key = (node, file_targets[p])
+                        volumes[key] = volumes.get(key, 0.0) + nbytes
+                        weights[key] = weights.get(key, 0.0) + weight
+                        nprocs_w[key] = nprocs_w.get(key, 0.0) + procs
+                        targets.add(key[1])
             app_targets[app.app_id] = tuple(sorted(targets))
             # The client keeps at most ``max_inflight_requests`` chunk
             # requests outstanding per node: extra processes queue at

@@ -5,8 +5,10 @@ completions and noise epochs.  Within a segment every capacity is
 constant, so rates are the max-min fair allocation and volumes advance
 linearly; the engine finds the earliest next boundary, integrates, and
 repeats.  Complexity is ``O(segments * maxmin)``, which for the paper's
-experiments (a few hundred flows, tens of segments) is sub-millisecond
-per run — this is what makes 100-repetition protocols practical.
+experiments (a few hundred flows, tens of segments) is a few
+milliseconds per run — about 2 to 10 ms for a fig6 run on a 2-CPU x86
+host — so 100-repetition protocols take about a second per
+configuration.
 
 Capacities may depend on the set of active flows through the resource
 (e.g. a storage target whose service rate grows with the number of
@@ -43,7 +45,7 @@ from ..telemetry.bus import get_bus
 from ..telemetry.profiling import get_profiler
 from .flows import FlowStats, FluidFlow
 from .latency import BlockingRequestModel, NoLatency
-from .maxmin import MaxMinSolver
+from .maxmin import MaxMinSolver, _membership_arrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.client_model import RetryPolicy
@@ -447,14 +449,21 @@ class _Run:
         self.rids = list(sim._providers)
         self.providers = [sim._providers[rid] for rid in self.rids]
         self.rid_index = {rid: i for i, rid in enumerate(self.rids)}
-        self.tags = [_distinct_tag_of(p) for p in self.providers]
         self.flows = sorted(sim._flows, key=lambda f: (f.start_time, f.flow_id))
+        # A flow's resource indices, and the value it shows each provider
+        # that counts a distinct tag, are fixed for the run.
+        tags = [_distinct_tag_of(p) for p in self.providers]
+        tag_of = {i: tag for i, tag in enumerate(tags) if tag is not None}
+        index_of = self.rid_index.__getitem__
+        self.members: dict[str, tuple[int, ...]] = {}
+        self.tag_values: dict[str, list[tuple[int, Any]]] = {}
+        for f in self.flows:
+            idxs = self.members[f.flow_id] = tuple(map(index_of, f.resources))
+            self.tag_values[f.flow_id] = [(i, f.tags.get(tag_of[i])) for i in idxs if i in tag_of]
         if self.checker is not None:
             self.checker.bind_resources(self.rids)
             for flow in self.flows:
-                self.checker.expect_bytes(
-                    [self.rid_index[r] for r in flow.resources], flow.volume_bytes
-                )
+                self.checker.expect_bytes(self.members[flow.flow_id], flow.volume_bytes)
         self.next_flow = 0  # index into ``flows`` of the next arrival
         self.active: list[FluidFlow] = []
         # Flows sleeping out a retry backoff: (ready_time, seq, flow).
@@ -559,20 +568,18 @@ class _Run:
         noise.
         """
         n, now, active = len(self.rids), self.now, self.active
-        rid_index, tags = self.rid_index, self.tags
-        depth = np.zeros(n)
-        nflows = np.zeros(n, dtype=int)
-        distinct: dict[int, set] = {}
-        memberships: list[list[int]] = []
+        memberships = [self.members[f.flow_id] for f in active]
+        # ``bincount`` adds in input order: flow by flow, each flow's
+        # resources in route order, as a per-membership loop would.
+        counts, flat = _membership_arrays(memberships)
+        weights = np.array([f.weight for f in active], dtype=float)
+        depth = np.bincount(flat, weights=np.repeat(weights, counts), minlength=n)
+        nflows = np.bincount(flat, minlength=n)
+        tag_sets: dict[int, set] = {}
         for flow in active:
-            idxs = [rid_index[r] for r in flow.resources]
-            memberships.append(idxs)
-            for i in idxs:
-                depth[i] += flow.weight
-                nflows[i] += 1
-                tag = tags[i]
-                if tag is not None:
-                    distinct.setdefault(i, set()).add(flow.tags.get(tag))
+            for i, value in self.tag_values[flow.flow_id]:
+                tag_sets.setdefault(i, set()).add(value)
+        distinct = {i: len(values) for i, values in tag_sets.items()}
         # Fold noise-scaled providers into one base vector: for them
         # ``capacity == base * noise`` bit for bit, so each segment needs
         # a single elementwise multiply.  The rest keep their per-segment
@@ -580,7 +587,7 @@ class _Run:
         base = np.zeros(n)
         dynamic: list[tuple[int, CapacityProvider, int]] = []
         for i, provider in enumerate(self.providers):
-            ctx_distinct = len(distinct.get(i, ())) or 1
+            ctx_distinct = distinct.get(i, 1)
             if getattr(provider, "noise_scaled", False):
                 base[i] = provider.capacity(
                     ResourceContext(now, depth[i], int(nflows[i]), 1.0, ctx_distinct)
@@ -588,13 +595,14 @@ class _Run:
             else:
                 dynamic.append((i, provider, ctx_distinct))
         self.base, self.dynamic = base, dynamic
-        self.depth, self.nflows, self.memberships = depth, nflows, memberships
+        self.depth, self.nflows, self.distinct = depth, nflows, distinct
+        self.memberships = memberships
         self.nprocs = np.array([f.nprocs for f in active])
         self.req_sizes = np.array(
             [f.request_size_bytes if f.request_size_bytes is not None else np.nan for f in active]
         )
         self.obs_members = [
-            (rid, [j for j, idxs in enumerate(memberships) if rid_index[rid] in idxs])
+            (rid, [j for j, idxs in enumerate(memberships) if self.rid_index[rid] in idxs])
             for rid in self.observe_ids
         ]
         self.rem = np.array([f.remaining_bytes for f in active], dtype=float)
@@ -846,9 +854,7 @@ class _Run:
             if self.bus.enabled:
                 self.bus.emit("flow.abandon", t=now, flow_id=flow.flow_id, attempt=flow.attempts)
             if self.checker is not None:
-                self.checker.retract_bytes(
-                    [self.rid_index[r] for r in flow.resources], flow.remaining_bytes
-                )
+                self.checker.retract_bytes(self.members[flow.flow_id], flow.remaining_bytes)
         else:
             self.trace.append(FlowTraceEvent(now, flow.flow_id, "retry", flow.attempts))
             if self.bus.enabled:

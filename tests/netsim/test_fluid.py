@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from repro.errors import FlowError, SimulationError
 from repro.netsim import fluid
@@ -16,6 +19,7 @@ from repro.netsim.fluid import (
 )
 from repro.netsim.latency import BlockingRequestModel
 from repro.netsim.maxmin import MaxMinSolver
+from repro.storage.client_model import RetryPolicy
 from repro.telemetry.bus import session
 from repro.units import GiB, MiB
 
@@ -242,6 +246,101 @@ class TestEpochPresolve:
         for rid, series in presolved.resource_series.items():
             assert inline.resource_series[rid].times == series.times
             assert inline.resource_series[rid].values == series.values
+
+
+class TestPopulationArrays:
+    """``rebuild_population``'s array passes equal a per-membership loop."""
+
+    class PerTarget:
+        """Counts the distinct ``target`` tags of its active flows."""
+
+        distinct_tag = "target"
+
+        def __init__(self, noise_scaled: bool):
+            self.noise_scaled = noise_scaled
+
+        def capacity(self, ctx: ResourceContext) -> float:
+            return 100.0 * ctx.distinct + ctx.depth
+
+    @staticmethod
+    def check(run) -> None:
+        """Compare the rebuilt population state against the loop reference."""
+        n = len(run.rids)
+        depth = np.zeros(n)
+        nflows = np.zeros(n, dtype=int)
+        values: dict[int, set] = {}
+        for f in run.active:
+            for rid in f.resources:
+                i = run.rid_index[rid]
+                depth[i] += f.weight
+                nflows[i] += 1
+                tag = getattr(run.providers[i], "distinct_tag", None)
+                if tag is not None:
+                    values.setdefault(i, set()).add(f.tags.get(tag))
+        assert_array_equal(run.depth, depth)
+        assert_array_equal(run.nflows, nflows)
+        assert run.nflows.dtype == nflows.dtype
+        assert_array_equal(
+            [run.distinct.get(i, 1) for i in range(n)],
+            [len(values.get(i, ())) or 1 for i in range(n)],
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_membership_loop(self, data):
+        nres = data.draw(st.integers(1, 8))
+        # Per resource: a plain link (None), or a distinct-tag provider
+        # that is noise-scaled (True) or evaluated per segment (False).
+        kinds = st.sampled_from([None, False, True])
+        tagged = data.draw(st.lists(kinds, min_size=nres, max_size=nres))
+        sim = FluidSimulation()
+        for i, kind in enumerate(tagged):
+            sim.add_resource(f"r{i}", 500.0 if kind is None else self.PerTarget(kind))
+        nflows = data.draw(st.integers(1, 12))
+        for j in range(nflows):
+            route = data.draw(st.permutations(range(nres)))[: data.draw(st.integers(1, nres))]
+            tags = data.draw(st.sampled_from([{}, {"target": 0}, {"target": 1}, {"target": 2}]))
+            weight = data.draw(st.floats(0.01, 10.0))
+            sim.add_flow(flow(f"f{j}", [f"r{i}" for i in route], GiB, weight=weight, tags=tags))
+        run = fluid._Run(sim, None, (), 1e7, False, (), [])
+        # Any subset of the flows, in any order: retries re-admit flows
+        # behind later arrivals.
+        order = data.draw(st.permutations(range(nflows)))
+        keep = data.draw(st.integers(1, nflows))
+        run.active = [run.flows[j] for j in order[:keep]]
+        run.rebuild_population()
+        self.check(run)
+
+    def test_population_readmitted_after_retry(self, monkeypatch):
+        """A retried flow rejoins behind the others; every rebuild still matches."""
+
+        class DeadUntil:
+            """Zero capacity before ``t = 2``, then 100 MiB/s."""
+
+            def capacity(self, ctx: ResourceContext) -> float:
+                return 0.0 if ctx.time < 2.0 else 100.0
+
+        orders = []
+        rebuild = fluid._Run.rebuild_population
+
+        def spy(run):
+            rebuild(run)
+            orders.append([f.flow_id for f in run.active])
+            self.check(run)
+
+        monkeypatch.setattr(fluid._Run, "rebuild_population", spy)
+        sim = FluidSimulation(retry=RetryPolicy(timeout_s=0.5, backoff_base_s=0.5))
+        sim.add_resource("flaky", DeadUntil())
+        sim.add_resource("link", 1000.0)
+        sim.add_resource("pool", self.PerTarget(True))
+        sim.add_flow(flow("a", ["flaky", "pool"], 64 * MiB, weight=0.3, tags={"target": 1}))
+        sim.add_flow(flow("b", ["link", "pool"], GiB, weight=0.7, tags={"target": 2}))
+        sim.add_flow(flow("c", ["link", "pool"], GiB, weight=1.1, tags={"target": 2}))
+        result = sim.run(breakpoints=[2.0])
+        assert [e.action for e in result.trace][:1] == ["retry"]
+        assert orders[0] == ["a", "b", "c"]
+        assert ["b", "c", "a"] in orders
+        assert all(s.finished_at is not None for s in result.stats)
 
 
 class TestLatencyIntegration:

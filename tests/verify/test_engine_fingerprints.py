@@ -89,6 +89,47 @@ CORPUS = (
         ),
         engine="des",
     ),
+    # File per process: one file, one chooser decision and one layout
+    # walk per rank.
+    Case(
+        "patterns-nn-s2-n8-stripe2",
+        ExperimentSpec(
+            "patterns",
+            "scenario2",
+            {
+                "pattern": "file-per-process",
+                "stripe_count": 2,
+                "num_nodes": 8,
+                "ppn": 8,
+                "total_gib": 32,
+            },
+        ),
+    ),
+    # Strided shared file: one region per transfer, interleaved across ranks.
+    Case(
+        "patterns-n1-strided-s1-n8-stripe4",
+        ExperimentSpec(
+            "patterns",
+            "scenario1",
+            {"pattern": "n1-strided", "stripe_count": 4, "num_nodes": 8, "ppn": 8, "total_gib": 32},
+        ),
+    ),
+    # Two applications created one after the other share the chooser.
+    Case(
+        "fig12-2apps-stripe4",
+        ExperimentSpec(
+            "fig12",
+            "scenario2",
+            {
+                "num_apps": 2,
+                "stripe_count": 4,
+                "num_nodes": 8,
+                "nodes_per_app": 8,
+                "ppn": 8,
+                "total_gib": 32,
+            },
+        ),
+    ),
 )
 
 
