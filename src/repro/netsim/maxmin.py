@@ -19,10 +19,20 @@ The fluid engine solves many segments over the *same* flow population
 and reuses it across solves.  Nothing is memoized: every call solves,
 and returns a fresh array.  :func:`max_min_rates` remains the one-shot
 functional entry point.
+
+A solve may also weight its rows with integer ``counts``: row ``r``
+then stands for ``counts[r]`` identical flows.  Identical flows share
+every headroom, delta and freeze decision of the fill, and integer user
+counts are exact, so each row's rate equals, bit for bit, the rate every
+one of its flows gets from the expanded per-flow solve.  The one
+exception is the fill's force-freeze corner, which freezes a single
+flow by the caller's order; a counted solve that reaches it returns
+``None`` and leaves the caller to solve the expanded rows.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -112,10 +122,16 @@ class MaxMinSolver:
         self,
         capacities: np.ndarray | Sequence[float],
         flow_caps: np.ndarray | Sequence[float] | None = None,
-    ) -> np.ndarray:
+        counts: np.ndarray | Sequence[int] | None = None,
+    ) -> np.ndarray | None:
         """Max-min fair rates for this population under ``capacities``.
 
-        Semantics are identical to :func:`max_min_rates`.
+        Semantics are identical to :func:`max_min_rates`.  With
+        ``counts`` (one non-negative integer per row) row ``r`` stands
+        for ``counts[r]`` identical flows and gets their common rate; a
+        row with count 0 is inactive and gets 0.  A counted solve that
+        reaches the order-dependent force-freeze corner returns ``None``:
+        solve the expanded rows with :func:`max_min_rates` instead.
         """
         caps = np.asarray(capacities, dtype=float)
         if caps.shape != (self.num_resources,):
@@ -131,7 +147,16 @@ class MaxMinSolver:
                 raise FlowError("flow_caps must have one entry per flow")
             if np.any(fc < 0):
                 raise FlowError("negative flow cap")
-        return self._fill(caps, fc)
+        if counts is None:
+            return self._fill(caps, fc)
+        cnt = np.asarray(counts)
+        if cnt.shape != (self.num_flows,):
+            raise FlowError("counts must have one entry per flow")
+        if cnt.size and cnt.dtype.kind not in "iu":
+            raise FlowError("counts must be integers")
+        if (cnt < 0).any():
+            raise FlowError("negative flow count")
+        return self._fill_counted(caps, fc, cnt.astype(np.intp, copy=False))
 
     def solve_batch(
         self,
@@ -237,6 +262,63 @@ class MaxMinSolver:
         else:  # pragma: no cover - loop bound is a hard invariant
             raise FlowError("max-min allocation did not converge")
         return rates
+
+    def _fill_counted(
+        self, caps: np.ndarray, flow_caps: np.ndarray | None, counts: np.ndarray
+    ) -> np.ndarray | None:
+        """:meth:`_fill` over counted rows (validated inputs only).
+
+        Step for step the per-flow loop, with two differences: the
+        per-resource user counts are count-weighted sums of incidence
+        rows, and the force-freeze corner returns ``None``.  Skipping
+        the arithmetic of absent flow caps (all ``inf``) changes no
+        result.
+        """
+        nflows, nres = self.num_flows, self.num_resources
+        incidence, inc_int = self._incidence, self._inc_int
+        rates = np.zeros(nflows)
+        active = counts > 0
+        rem = caps.astype(float)  # a copy
+        zero_res = rem <= _EPS
+        if zero_res.any():
+            active &= ~incidence[:, zero_res].any(axis=1)
+        cap_rem = None
+        if flow_caps is not None:
+            cap_rem = flow_caps.astype(float)
+            active &= cap_rem > _EPS
+        if not np.count_nonzero(active):
+            return rates
+        users = np.where(active, counts, 0) @ inc_int
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(nflows + nres + 1):
+                busy = users > 0
+                headroom = np.where(busy, rem / np.maximum(users, 1), np.inf)
+                delta = headroom.min()
+                # As in _fill: inf, not NaN, when no headroom is finite.
+                if not delta < np.inf and not np.isfinite(headroom).any():
+                    delta = np.inf
+                if cap_rem is not None:
+                    delta = min(delta, cap_rem[active].min())
+                if not math.isfinite(delta):
+                    raise FlowError("unbounded max-min allocation (no finite constraint)")
+                delta = max(delta, 0.0)
+
+                np.add(rates, delta, out=rates, where=active)
+                rem -= delta * users
+                freeze = active & incidence[:, (rem <= _EPS) & busy].any(axis=1)
+                if cap_rem is not None:
+                    np.subtract(cap_rem, delta, out=cap_rem, where=active)
+                    freeze |= active & (cap_rem <= _EPS)
+                if not np.count_nonzero(freeze):
+                    # The per-flow loop would force-freeze one flow by its
+                    # position here, parting the members of a row.
+                    return None
+                users -= np.where(freeze, counts, 0) @ inc_int
+                active ^= freeze
+                if not np.count_nonzero(active):
+                    return rates
+        raise FlowError("max-min allocation did not converge")  # pragma: no cover
 
     def _fill(self, caps: np.ndarray, flow_caps: np.ndarray | None) -> np.ndarray:
         """The progressive-filling loop (validated inputs only)."""

@@ -1,9 +1,10 @@
 """A small discrete-event simulation (DES) kernel.
 
-This is the substrate under the request-level BeeGFS engine
-(:mod:`repro.engine.des_runner`).  It follows the classic
-process-interaction style (a la SimPy): simulation processes are Python
-generators that ``yield`` waitables — :class:`Timeout`, :class:`Event`,
+This is the substrate under the metadata-path engine
+(:mod:`repro.engine.meta_engine`); the request-level data-path engine
+(:mod:`repro.engine.des_runner`) runs its own event loop instead.  It
+follows the classic process-interaction style (a la SimPy): simulation
+processes are Python generators that ``yield`` waitables — :class:`Timeout`, :class:`Event`,
 resource requests — and the :class:`Simulator` advances virtual time by
 draining a priority queue of scheduled callbacks.
 

@@ -5,11 +5,17 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.beegfs.filesystem import BeeGFS, plafrim_deployment
 from repro.calibration.plafrim import scenario1, scenario2
 from repro.engine.base import EngineOptions
 from repro.engine.fluid_runner import FluidEngine
+
+# The CI verify job's long property sweeps (``--hypothesis-profile=verify``):
+# reproducible, unhurried, and at least 200 examples per property.  Tier-1
+# runs keep Hypothesis's default profile.
+settings.register_profile("verify", derandomize=True, deadline=None, max_examples=300)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,0 +1,423 @@
+"""The route-class DES loop against the per-extent loop it replaced.
+
+:func:`reference_loop` is the DES event loop as it was before route
+classes: one ``_Extent`` object per in-flight chunk request, a
+per-event rebuild of ``depth``/``nflows`` with one update per
+membership, one capacity-provider call per resource, and a one-shot
+:func:`max_min_rates` per event over the extents in active order.
+:class:`DESEngine` must reproduce its output bit for bit.  The
+reference stands in for ``DESEngine._integrate_inner`` during a run
+rather than living in a subclass, because engine seeds derive from the
+engine's class name.
+
+Run with ``--hypothesis-profile=verify`` for the long, derandomized
+sweep (see ``tests/conftest.py``).
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import lru_cache
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+import repro.engine.des_runner as des_runner
+from repro.calibration.plafrim import scenario_by_name
+from repro.engine.base import EngineOptions
+from repro.engine.des_runner import _BYTES_EPS, _RATE_EPS, _TIME_EPS, DESEngine, _Proc
+from repro.errors import FlowError, SimulationError
+from repro.faults import FaultSchedule, server_outage, target_outage
+from repro.netsim.fluid import FlowTraceEvent, ResourceContext
+from repro.netsim.maxmin import MaxMinSolver, max_min_rates
+from repro.storage.client_model import RetryPolicy
+from repro.units import MiB
+from repro.verify.replay import result_fingerprint
+from repro.workload.generator import single_application
+
+# Three identical flows that reach the fill's force-freeze corner: the
+# one frozen first ends one ulp below the other two.
+CORNER_MEMBERSHIPS = [[0, 1]] * 3
+CORNER_CAPACITIES = (106389784.2906593, 629479043.3881695)
+# The ``fixed`` chooser takes the first stripe-count of these.
+PINNED_TARGETS = (101, 201, 102, 202, 103, 203, 104, 204)
+
+
+@dataclass
+class _Extent:
+    """One in-flight piece of a transfer on one target."""
+
+    remaining: float
+    resource_idxs: tuple[int, ...]
+    target: int
+    proc: _Proc
+    stalled_since: float | None = None
+    attempts: int = 0
+
+    @property
+    def request_id(self) -> str:
+        return f"{self.proc.app_id}:r{self.proc.rank}:t{self.target}"
+
+
+def reference_loop(self, prepared, procs, checker, trace):
+    """The per-extent DES event loop, kept as the reference."""
+    rids = list(prepared.providers)
+    rid_index = {rid: i for i, rid in enumerate(rids)}
+    providers = [prepared.providers[rid] for rid in rids]
+    route_idx = {
+        key: tuple(rid_index[r] for r in route) for key, route in prepared.routes.items()
+    }
+    node_of_rank = {
+        (app.app_id, rank): app.node_of_rank(rank)
+        for app in prepared.apps
+        for rank in range(app.nprocs)
+    }
+    if checker is not None:
+        checker.bind_resources(rids)
+        for proc in procs:
+            node = node_of_rank[(proc.app_id, proc.rank)]
+            for transfer in proc.transfers:
+                for target, nbytes in transfer:
+                    checker.expect_bytes(route_idx[(node, target)], nbytes)
+    app_start = {app.app_id: app.start_time for app in prepared.apps}
+    rtt = self.calibration.request_rtt_s
+
+    noise = prepared.noise
+    noise_rng = prepared.seeds.rng("noise")
+    epoch_len = noise.epoch_length_s
+    has_epochs = math.isfinite(epoch_len)
+    multipliers = np.ones(len(rids))
+    current_epoch = -1
+
+    def resample(epoch):
+        nonlocal current_epoch
+        if epoch == current_epoch:
+            return
+        current_epoch = epoch
+        for i, rid in enumerate(rids):
+            multipliers[i] = noise.multiplier(rid, epoch, noise_rng)
+
+    def issue(proc, active):
+        idx = proc.next_transfer
+        proc.next_transfer += 1
+        node = node_of_rank[(proc.app_id, proc.rank)]
+        for target, nbytes in proc.transfers[idx]:
+            active.append(
+                _Extent(
+                    remaining=float(nbytes),
+                    resource_idxs=route_idx[(node, target)],
+                    target=target,
+                    proc=proc,
+                )
+            )
+            proc.outstanding += 1
+
+    def finish_request(proc, now, seq):
+        proc.outstanding -= 1
+        if proc.outstanding == 0:
+            if proc.next_transfer < len(proc.transfers):
+                heapq.heappush(arrivals, (now + rtt, seq, proc))
+                seq += 1
+            else:
+                proc.finished_at = now
+        return seq
+
+    jitter_rng = prepared.seeds.rng("des-startup-jitter")
+    for proc in procs:
+        if len(proc.transfers) > 1:
+            cut = int(jitter_rng.integers(len(proc.transfers)))
+            proc.transfers = proc.transfers[cut:] + proc.transfers[:cut]
+    arrivals = []
+    seq = 0
+    for proc in procs:
+        if not proc.transfers:
+            proc.finished_at = app_start[proc.app_id]
+            continue
+        jitter = float(jitter_rng.uniform(0.0, self.startup_jitter_s))
+        heapq.heappush(arrivals, (app_start[proc.app_id] + jitter, seq, proc))
+        seq += 1
+
+    retry = self.options.effective_retry()
+    bounds = self._breakpoints()
+    retry_heap = []
+    lost_bytes = {}
+    abandoned = 0
+
+    active = []
+    now = arrivals[0][0] if arrivals else 0.0
+    segments = 0
+    while arrivals or active or retry_heap:
+        while arrivals and arrivals[0][0] <= now + _TIME_EPS:
+            _, _, proc = heapq.heappop(arrivals)
+            issue(proc, active)
+        while retry_heap and retry_heap[0][0] <= now + _TIME_EPS:
+            active.append(heapq.heappop(retry_heap)[2])
+        if not active:
+            next_times = [arrivals[0][0]] if arrivals else []
+            if retry_heap:
+                next_times.append(retry_heap[0][0])
+            now = min(next_times)
+            continue
+
+        epoch = int(now / epoch_len) if has_epochs else 0
+        resample(epoch)
+
+        depth = np.zeros(len(rids))
+        nflows = np.zeros(len(rids), dtype=int)
+        distinct = {}
+        memberships = []
+        for ext in active:
+            memberships.append(ext.resource_idxs)
+            for i in ext.resource_idxs:
+                depth[i] += 1.0
+                nflows[i] += 1
+                if getattr(providers[i], "distinct_tag", None) is not None:
+                    distinct.setdefault(i, set()).add(ext.target)
+        capacities = np.array(
+            [
+                providers[i].capacity(
+                    ResourceContext(
+                        now,
+                        depth[i],
+                        int(nflows[i]),
+                        multipliers[i],
+                        len(distinct.get(i, ())) or 1,
+                    )
+                )
+                for i in range(len(rids))
+            ]
+        )
+        rates_mib = max_min_rates(memberships, capacities)
+        rates = rates_mib * float(MiB)
+        if retry is not None:
+            for ext, rate in zip(active, rates):
+                if rate <= _RATE_EPS:
+                    if ext.stalled_since is None:
+                        ext.stalled_since = now
+                else:
+                    ext.stalled_since = None
+
+        dt = math.inf
+        for ext, rate in zip(active, rates):
+            if rate > 0:
+                dt = min(dt, ext.remaining / rate)
+        if arrivals:
+            dt = min(dt, arrivals[0][0] - now)
+        if has_epochs:
+            dt = min(dt, (epoch + 1) * epoch_len - now)
+        if bounds:
+            nxt = bisect_right(bounds, now + _TIME_EPS)
+            if nxt < len(bounds):
+                dt = min(dt, bounds[nxt] - now)
+        if retry_heap:
+            dt = min(dt, retry_heap[0][0] - now)
+        if retry is not None:
+            for ext in active:
+                if ext.stalled_since is not None:
+                    dt = min(dt, ext.stalled_since + retry.timeout_s - now)
+        if not math.isfinite(dt) or dt < 0:
+            raise SimulationError(f"DES engine stalled at t={now}")
+        dt = max(dt, 0.0)
+
+        if checker is not None:
+            checker.on_segment(
+                now,
+                dt,
+                capacities,
+                memberships,
+                rates_mib,
+                flow_labels=[e.request_id for e in active],
+            )
+
+        now += dt
+        segments += 1
+        still = []
+        for ext, rate in zip(active, rates):
+            ext.remaining -= rate * dt
+            if ext.remaining <= _BYTES_EPS:
+                seq = finish_request(ext.proc, now, seq)
+            elif (
+                retry is not None
+                and ext.stalled_since is not None
+                and now >= ext.stalled_since + retry.timeout_s - _TIME_EPS
+            ):
+                ext.attempts += 1
+                ext.stalled_since = None
+                if ext.attempts > retry.max_retries:
+                    abandoned += 1
+                    app_id = ext.proc.app_id
+                    lost_bytes[app_id] = lost_bytes.get(app_id, 0.0) + ext.remaining
+                    trace.append(FlowTraceEvent(now, ext.request_id, "abandon", ext.attempts))
+                    if checker is not None:
+                        checker.retract_bytes(ext.resource_idxs, ext.remaining)
+                    seq = finish_request(ext.proc, now, seq)
+                else:
+                    trace.append(FlowTraceEvent(now, ext.request_id, "retry", ext.attempts))
+                    heapq.heappush(retry_heap, (now + retry.backoff_s(ext.attempts), seq, ext))
+                    seq += 1
+            else:
+                still.append(ext)
+        active = still
+
+    if checker is not None:
+        checker.finish()
+    return self._collect(
+        prepared,
+        procs,
+        segments,
+        trace=trace,
+        lost_bytes=lost_bytes,
+        retries=sum(1 for e in trace if e.action == "retry"),
+        abandoned=abandoned,
+    )
+
+
+@lru_cache(maxsize=None)
+def _platform(scenario: str):
+    calib = scenario_by_name(scenario)
+    return calib, calib.platform(4)
+
+
+def _engine(spec: dict) -> tuple[DESEngine, object]:
+    """The engine and the application a drawn spec describes."""
+    calib, topo = _platform(spec["scenario"])
+    schedule, retry = None, None
+    if spec["outage"] is not None:
+        component, start, duration, max_retries = spec["outage"]
+        outage = target_outage if isinstance(component, int) else server_outage
+        schedule = FaultSchedule([outage(component, start, duration)])
+        retry = RetryPolicy(timeout_s=0.005, max_retries=max_retries, backoff_base_s=0.002)
+    options = EngineOptions(noise_enabled=spec["noise"], fault_schedule=schedule, retry=retry)
+    chooser = spec["chooser"]
+    if chooser == "fixed":
+        chooser += ":" + ",".join(map(str, PINNED_TARGETS[: spec["stripe"]]))
+    deployment = calib.deployment(stripe_count=spec["stripe"], chooser=chooser)
+    engine = DESEngine(calib, topo, deployment, seed=spec["seed"], options=options)
+    return engine, single_application(topo, spec["nodes"], ppn=spec["ppn"], total_bytes=32 * MiB)
+
+
+des_specs = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from(["scenario1", "scenario2"]),
+        "nodes": st.integers(1, 4),
+        "ppn": st.integers(1, 4),
+        "stripe": st.integers(1, 8),
+        "chooser": st.sampled_from(
+            ["roundrobin", "random", "balanced", "capacity", "failover", "fixed"]
+        ),
+        "noise": st.booleans(),
+        # (target or server, outage start and duration in s, retries
+        # before abandoning); a 3 ms outage ends before the 5 ms timeout,
+        # so stalled requests resume.
+        "outage": st.none()
+        | st.tuples(
+            st.sampled_from([101, 201, 204, "storage1", "storage2"]),
+            st.sampled_from([0.002, 0.005, 0.01]),
+            st.sampled_from([math.inf, 0.003]),
+            st.integers(0, 2),
+        ),
+        "seed": st.integers(0, 2**16),
+        "rep": st.integers(0, 3),
+    }
+)
+
+
+@given(spec=des_specs)
+@settings(deadline=None)
+def test_route_classes_reproduce_the_per_extent_loop(spec):
+    engine, app = _engine(spec)
+    result = engine.run([app], spec["rep"])
+    event("requests timed out" if result.fault_events else "no timeouts")
+    with patch.object(DESEngine, "_integrate_inner", reference_loop):
+        reference = engine.run([app], spec["rep"])
+    assert result_fingerprint(result) == result_fingerprint(reference)
+
+
+@st.composite
+def counted_populations(draw):
+    """Rows over a few resources, counts (zeros included), capacities, optional row caps."""
+    nres = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(0, nres - 1), min_size=1).map(sorted), min_size=1, max_size=6
+        )
+    )
+    counts = draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
+    rate = st.one_of(st.just(0.0), st.floats(1e-3, 1e9))
+    capacities = draw(st.lists(rate, min_size=nres, max_size=nres))
+    caps = st.lists(st.one_of(rate, st.just(math.inf)), min_size=len(rows), max_size=len(rows))
+    return rows, counts, capacities, draw(st.none() | caps)
+
+
+@given(population=counted_populations())
+@settings(deadline=None)
+def test_counted_solve_matches_the_expanded_rows(population):
+    rows, counts, capacities, row_caps = population
+    rates = MaxMinSolver(rows, len(capacities)).solve(
+        capacities, flow_caps=row_caps, counts=np.array(counts)
+    )
+    expanded = [r for r, n in enumerate(counts) for _ in range(n)]
+    flow_caps = None if row_caps is None else [row_caps[r] for r in expanded]
+    per_flow = max_min_rates([rows[r] for r in expanded], capacities, flow_caps)
+    if rates is None:
+        event("handed back at the force-freeze corner")
+        return
+    assert_array_equal(rates[expanded], per_flow)
+    assert_array_equal(rates[np.array(counts) == 0], 0.0)
+
+
+def test_the_force_freeze_corner_takes_the_per_extent_path():
+    per_flow = max_min_rates(CORNER_MEMBERSHIPS, CORNER_CAPACITIES)
+    assert [float(r).hex() for r in per_flow] == [
+        "0x1.0e902eb71170fp+25",
+        "0x1.0e902eb711710p+25",
+        "0x1.0e902eb711710p+25",
+    ]
+    solver = MaxMinSolver(CORNER_MEMBERSHIPS[:1], 2)
+    assert solver.solve(CORNER_CAPACITIES, counts=np.array([3])) is None
+
+
+class _CornerEverywhere(MaxMinSolver):
+    """A solver whose every counted solve hands back to the caller."""
+
+    def solve(self, capacities, flow_caps=None, counts=None):
+        result = super().solve(capacities, flow_caps, counts)
+        return None if counts is not None else result
+
+
+def test_the_per_extent_path_on_every_event_changes_nothing(monkeypatch):
+    spec = {
+        "scenario": "scenario1",
+        "nodes": 2,
+        "ppn": 4,
+        "stripe": 4,
+        "chooser": "roundrobin",
+        "noise": True,
+        "outage": (201, 0.002, math.inf, 1),
+        "seed": 7,
+        "rep": 1,
+    }
+    engine, app = _engine(spec)
+    expected = result_fingerprint(engine.run([app], spec["rep"]))
+    fallbacks = []
+    monkeypatch.setattr(des_runner, "MaxMinSolver", _CornerEverywhere)
+    monkeypatch.setattr(
+        des_runner, "max_min_rates", lambda *a: fallbacks.append(1) or max_min_rates(*a)
+    )
+    result = engine.run([app], spec["rep"])
+    assert result.retries > 0
+    assert len(fallbacks) == result.segments
+    assert result_fingerprint(result) == expected
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([1, -1]), np.array([1])])
+def test_counts_are_validated(bad):
+    with pytest.raises(FlowError):
+        MaxMinSolver([[0], [0, 1]], 2).solve([1.0, 1.0], counts=bad)

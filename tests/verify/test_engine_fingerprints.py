@@ -22,10 +22,12 @@ import pytest
 
 from repro.engine.base import EngineOptions
 from repro.experiments import exp_faults
+from repro.faults import FaultSchedule, target_outage
 from repro.methodology.plan import ExperimentSpec
 from repro.scenario import MODEL_REVISION
 from repro.scenario.compile import compile_scenario
 from repro.service import SimulationService
+from repro.storage.client_model import RetryPolicy
 from repro.verify.replay import result_fingerprint
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "engine_fingerprints.json"
@@ -129,6 +131,53 @@ CORPUS = (
                 "total_gib": 32,
             },
         ),
+    ),
+    # DES through a permanent outage of a pinned target: chunk requests
+    # stall, time out, retry after a backoff and are finally abandoned.
+    Case(
+        "des-faults-outage-retry",
+        ExperimentSpec(
+            "faults",
+            "scenario1",
+            {
+                "chooser": "fixed:101,201,102,202",
+                "stripe_count": 4,
+                "num_nodes": 2,
+                "ppn": 4,
+                "total_gib": 0.0625,
+            },
+        ),
+        EngineOptions(
+            fault_schedule=FaultSchedule([target_outage(201, 0.005)]),
+            retry=RetryPolicy(timeout_s=0.005, max_retries=2, backoff_base_s=0.002),
+        ),
+        engine="des",
+    ),
+    # DES over 4 nodes x 8 targets: 32 routes, and two storage pools
+    # whose capacity counts their distinct busy targets.
+    Case(
+        "des-s2-n4-stripe8",
+        ExperimentSpec(
+            "des", "scenario2", {"num_nodes": 4, "ppn": 4, "stripe_count": 8, "total_gib": 0.0625}
+        ),
+        engine="des",
+    ),
+    # DES with two applications on disjoint nodes sharing the chooser.
+    Case(
+        "des-fig12-2apps-stripe4",
+        ExperimentSpec(
+            "fig12",
+            "scenario2",
+            {
+                "num_apps": 2,
+                "stripe_count": 4,
+                "num_nodes": 2,
+                "nodes_per_app": 2,
+                "ppn": 4,
+                "total_gib": 0.0625,
+            },
+        ),
+        engine="des",
     ),
 )
 

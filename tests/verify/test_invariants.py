@@ -219,10 +219,11 @@ class TestEngineIntegration:
         result = engine.run([app], rep=0)
         assert result.single.bandwidth_mib_s > 0
 
-    def test_validation_off_is_default_and_identical(self, calib_s1, topo_s1):
+    @pytest.mark.parametrize("engine_cls", [FluidEngine, DESEngine], ids=["fluid", "des"])
+    def test_validation_off_is_default_and_identical(self, calib_s1, topo_s1, engine_cls):
         def bw(validation):
             options = EngineOptions(noise_enabled=False, validation=validation)
-            engine = FluidEngine(
+            engine = engine_cls(
                 calib_s1, topo_s1, calib_s1.deployment(stripe_count=4), seed=0, options=options
             )
             app = single_application(topo_s1, 2, ppn=4, total_bytes=128 * MiB)
@@ -231,12 +232,21 @@ class TestEngineIntegration:
         assert EngineOptions().validation is ValidationLevel.OFF
         assert bw(ValidationLevel.OFF) == bw(ValidationLevel.PARANOID)
 
-    def test_injected_engine_run_trips(self, calib_s1, topo_s1):
+    @pytest.mark.parametrize(
+        "engine_cls, injection",
+        [
+            (FluidEngine, "over-capacity"),
+            (DESEngine, "over-capacity"),
+            (DESEngine, "byte-loss"),
+        ],
+        ids=["fluid-over-capacity", "des-over-capacity", "des-byte-loss"],
+    )
+    def test_injected_engine_run_trips(self, calib_s1, topo_s1, engine_cls, injection):
         options = EngineOptions(noise_enabled=False, validation=ValidationLevel.PARANOID)
-        engine = FluidEngine(
+        engine = engine_cls(
             calib_s1, topo_s1, calib_s1.deployment(stripe_count=4), seed=0, options=options
         )
         app = single_application(topo_s1, 2, ppn=4, total_bytes=128 * MiB)
-        with forced_injection("over-capacity"):
+        with forced_injection(injection):
             with pytest.raises(InvariantViolation):
                 engine.run([app], rep=0)
