@@ -408,11 +408,16 @@ class ProtocolRunner:
 
     @contextmanager
     def _inline(
-        self, planned: PlannedRun, queue: "DurableJobQueue | None"
+        self, planned: PlannedRun, journal: "DurableJobQueue | None"
     ) -> Iterator[RunOutcome]:
-        """Execute one run in-process, at its merge position."""
-        if queue is not None:
-            queue.lease(planned.spec.key, planned.rep)
+        """Execute one run in-process, at its merge position.
+
+        ``journal`` is the campaign queue for an executed run (leased
+        before it runs) and None for a prefetched hit, which is never
+        in flight.
+        """
+        if journal is not None:
+            journal.lease(planned.spec.key, planned.rep)
         yield execute_outcome(self.executor, planned.spec, planned.rep)
 
     def run(
@@ -426,11 +431,14 @@ class ProtocolRunner:
         This is the one walk of the protocol, whatever executes the
         runs: serial runs and prefetched cache hits execute inline, a
         worker pool (see :meth:`_worker_pool`) supplies the outcomes of
-        the rest.  With a ``checkpoint_path`` configured, every pending
-        (spec, rep) job is journaled in a durable queue next to the
+        the rest.  With a ``checkpoint_path`` configured, every run the
+        walk executes is journaled in a durable queue next to the
         checkpoint and its state transitions (lease → done/failed) are
-        fsync'd, so a crashed campaign can be resumed with full
-        knowledge of what was in flight.  SIGINT/SIGTERM (when armed via
+        fsync'd, so a resumed campaign reclaims exactly the runs a dead
+        owner had in flight.  Prefetched cache hits run no engine, are
+        never in flight and stay out of the journal: once merged, the
+        checkpointed store covers them, so a fresh all-hit campaign
+        never creates the journal.  SIGINT/SIGTERM (when armed via
         :func:`repro.orchestrator.interrupts.handle_signals`) checkpoint
         and raise :class:`~repro.errors.CampaignInterrupted` between
         runs instead of tearing down mid-merge.
@@ -444,18 +452,19 @@ class ProtocolRunner:
         end_clocks = store.end_clocks()
         pending = [p for p in plan if (p.spec.key, p.rep) not in recorded]
         bus = get_bus()
-        queue = self._open_queue()
-        if queue is not None:
-            queue.enqueue_many([(p.spec.key, p.rep) for p in pending])
-        # Prefetched hits resolve inline at their merge position; a
-        # worker pool only gets the misses, numbered by their ordinal
-        # among the pending runs (the merge order).
+        # Prefetched hits resolve inline at their merge position and are
+        # never in flight: only the misses are journaled and handed to a
+        # worker pool, numbered by their ordinal among the pending runs
+        # (the merge order).
         hits = self._prefetch(pending)
         misses = [
             (ordinal, p)
             for ordinal, p in enumerate(pending)
             if (p.spec.key, p.rep) not in hits
         ]
+        queue = self._open_queue()
+        if queue is not None:
+            queue.enqueue_many([(p.spec.key, p.rep) for _, p in misses])
         wall_clock = 0.0
         executed_since_checkpoint = 0
         ordinal = 0
@@ -474,8 +483,11 @@ class ProtocolRunner:
                             wall_clock = max(wall_clock, end_clocks[key])
                             block_ran = True
                             continue
+                        hit = key in hits
+                        # The queue journals executed runs only.
+                        journal = None if hit else queue
                         reply = None
-                        if pool is None or key in hits:
+                        if pool is None or hit:
                             interrupted = pending_signal()
                         else:
                             reply = pool.wait(ordinal)
@@ -486,22 +498,24 @@ class ProtocolRunner:
                         ordinal += 1
                         block_ran = True
                         source = (
-                            self._inline(planned, queue)
+                            self._inline(planned, journal)
                             if reply is None
                             else pool.replayed(reply, planned)
                         )
                         with trace_scope(self._trace_context(planned)):
                             self._emit_start(bus, planned, block_index, wall_clock)
                             with source as outcome:
-                                if queue is not None:
-                                    # Journal the terminal state before
-                                    # merging: the merge may raise under
-                                    # a fail policy, and the job must not
-                                    # replay as pending on resume.
+                                if journal is not None:
+                                    # Close the lease before merging: the
+                                    # merge may raise under a fail policy,
+                                    # and a finished run's lease must not
+                                    # read as a dead owner's on resume
+                                    # (the store, not this record, says
+                                    # what is still pending).
                                     if outcome.ok:
-                                        queue.mark_done(*key)
+                                        journal.mark_done(*key)
                                     else:
-                                        queue.mark_failed(*key)
+                                        journal.mark_failed(*key)
                                 wall_clock = self._merge(
                                     store, planned, block_index, wall_clock, outcome, bus
                                 )

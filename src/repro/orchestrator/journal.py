@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["fsync_dir", "Journal", "read_records"]
 
@@ -160,9 +160,3 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
         else:
             torn += 1
     return records, torn
-
-
-def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:  # pragma: no cover
-    """Convenience: yield the decodable records of a JSONL file."""
-    records, _ = read_records(path)
-    yield from records
