@@ -19,14 +19,24 @@ chunk request) from one node to one target crosses the same resources.
 A run builds one :class:`~repro.netsim.maxmin.MaxMinSolver` with a row
 per class and solves each event with the classes' extent counts; the
 members of a class share every step of the max-min fill, so a class's
-rate is each member's rate bit for bit.  The counts change as extents
-are issued, finish, time out and come back; per-resource extent counts
-and distinct busy targets follow from them, and a noise-scaled
-provider is re-evaluated only when those inputs change.  An event whose
-fill reaches the order-dependent force-freeze corner is solved per
-extent in active order with :func:`~repro.netsim.maxmin.max_min_rates`.
-``tests/engine/test_des_reference.py`` keeps the per-extent loop as the
-reference the class loop must reproduce.
+rate is each member's rate bit for bit.
+
+An event pays only for what changed since an earlier event of its run.
+Each issue, finish, timeout and retry moves one class count by one, and
+with it the extent count of each resource on the class's route and the
+busy targets of the pools that count distinct targets (``_ClassState``);
+only the resources it touched are looked at again.  A noise-scaled
+provider ignores the time, so its capacity is memoized per run on
+(resource, extent count, distinct targets); fault wrappers still run
+every event.  A counted solve is a pure function of the class counts and
+the capacities, so it is memoized per run on those two, and an event
+that repeats a pair reuses the rates.  An event whose fill reaches the
+order-dependent force-freeze corner (the solve returns ``None``) is
+solved per extent in active order with
+:func:`~repro.netsim.maxmin.max_min_rates`, every time: that answer
+depends on the extents' order, so it is never memoized.  Nothing is
+kept across runs.  ``tests/engine/test_des_reference.py`` keeps the
+per-extent loop as the reference the class loop must reproduce.
 """
 
 from __future__ import annotations
@@ -59,6 +69,12 @@ __all__ = ["DESEngine"]
 _TIME_EPS = 1e-12
 _BYTES_EPS = 1e-3
 _RATE_EPS = 1e-9 * float(MiB)  # bytes/s below which a request is stalled
+_UNSOLVED = object()  # a (counts, capacities) pair the run has not solved yet
+# Solves a run keeps at most; past it the memo starts over.  An entry
+# holds both vectors and the class rates, about 5 KiB at 32 nodes x 8
+# targets, where no pair repeats; the paper-scale runs measured keep
+# 70-2100 pairs.
+_SOLVED_LIMIT = 4096
 
 
 @dataclass
@@ -71,6 +87,73 @@ class _Proc:
     next_transfer: int = 0
     outstanding: int = 0
     finished_at: float | None = None
+
+
+class _ClassState:
+    """Active extents per route class, and the provider inputs they set.
+
+    ``counts[c]`` is the number of active extents of class ``c``.  Each
+    :meth:`enter` or :meth:`leave` of a class also moves ``nflows``, the
+    extent count of every resource on the class's route, and for each
+    pool on the route that counts distinct targets, the pool's extents on
+    the class's target and so its ``busy`` targets.  :meth:`take_touched`
+    hands over the resources moved since its last call (all of them at
+    first); no other resource's inputs can have changed.
+    """
+
+    def __init__(
+        self,
+        routes: list[tuple[int, ...]],
+        class_targets: list[int],
+        pools: set[int],
+        nres: int,
+    ) -> None:
+        self.routes = routes
+        self.counts = np.zeros(len(routes), dtype=np.intp)
+        self.nflows = [0] * nres
+        self.busy = [0] * nres
+        # One counter per (pool, target): the pool's extents on the target.
+        slot_of: dict[tuple[int, int], int] = {}
+        self._slots = [
+            [(i, slot_of.setdefault((i, target), len(slot_of))) for i in route if i in pools]
+            for route, target in zip(routes, class_targets)
+        ]
+        self._on_target = [0] * len(slot_of)
+        self._touched = set(range(nres))
+
+    def enter(self, c: int) -> None:
+        self.counts[c] += 1
+        route = self.routes[c]
+        nflows = self.nflows
+        for i in route:
+            nflows[i] += 1
+        self._touched.update(route)
+        on_target = self._on_target
+        for i, slot in self._slots[c]:
+            if not on_target[slot]:
+                self.busy[i] += 1
+            on_target[slot] += 1
+
+    def leave(self, c: int) -> None:
+        self.counts[c] -= 1
+        route = self.routes[c]
+        nflows = self.nflows
+        for i in route:
+            nflows[i] -= 1
+        self._touched.update(route)
+        on_target = self._on_target
+        for i, slot in self._slots[c]:
+            on_target[slot] -= 1
+            if not on_target[slot]:
+                self.busy[i] -= 1
+
+    def distinct(self, i: int) -> int:
+        """Busy targets of resource ``i``; 1 without a distinct tag or when idle."""
+        return max(self.busy[i], 1)
+
+    def take_touched(self) -> set[int]:
+        touched, self._touched = self._touched, set()
+        return touched
 
 
 class DESEngine(EngineBase):
@@ -155,19 +238,11 @@ class DESEngine(EngineBase):
         class_of = {key: c for c, key in enumerate(keys)}
         routes = [tuple(rid_index[r] for r in prepared.routes[key]) for key in keys]
         solver = MaxMinSolver(routes, nres)
-        counts = np.zeros(len(keys), dtype=np.intp)
         # A distinct-tag provider counts the distinct targets among its
-        # active extents, and each class has one target.  So one product
-        # ``counts @ population`` gives every resource's extent count and,
-        # for each (distinct-tag resource, target), the extents on the
-        # resource heading to that target.
-        targets = sorted({target for _, target in keys})
-        population = np.zeros((len(keys), nres * (1 + len(targets))), dtype=np.intp)
-        population[:, :nres] = solver.incidence
-        for i, provider in enumerate(providers):
-            if getattr(provider, "distinct_tag", None) is not None:
-                for c in np.flatnonzero(solver.incidence[:, i]).tolist():
-                    population[c, nres * (1 + targets.index(keys[c][1])) + i] = 1
+        # active extents, and each class has one target.
+        pools = {i for i, p in enumerate(providers) if getattr(p, "distinct_tag", None) is not None}
+        state = _ClassState(routes, [target for _, target in keys], pools, nres)
+        counts, nflows = state.counts, state.nflows
         app_of = {app.app_id: app for app in prepared.apps}
         nodes = [app_of[proc.app_id].node_of_rank(proc.rank) for proc in procs]
         if checker is not None:
@@ -194,29 +269,25 @@ class DESEngine(EngineBase):
                 multipliers[i] = noise.multiplier(rid, epoch, noise_rng)
 
         # Noise-scaled providers fold into ``base * multipliers`` (bit for
-        # bit, see CapacityProvider); a base entry is re-evaluated only when
-        # its resource's extent or distinct-target count changes.  The rest
-        # (fault wrappers, which read ``ctx.time``) are called every event.
-        folded = np.array([bool(getattr(p, "noise_scaled", False)) for p in providers])
-        dynamic = np.flatnonzero(~folded).tolist()
+        # bit, see CapacityProvider).  They ignore the time and here
+        # ``depth == nflows``, so a base entry is a function of (resource,
+        # nflows, distinct), memoized for the run and looked up only for
+        # resources whose inputs moved.  The rest (fault wrappers, which
+        # read ``ctx.time``) are called every event.
+        folded = {i for i, p in enumerate(providers) if getattr(p, "noise_scaled", False)}
+        dynamic = [i for i in range(nres) if i not in folded]
         base = np.zeros(nres)
-        nflows = np.full(nres, -1, dtype=np.intp)
-        distinct = np.ones(nres, dtype=np.intp)
-        depth = np.zeros(nres)
+        folded_capacity: dict[tuple[int, int, int], float] = {}
 
         def refresh_population(now: float) -> None:
-            nonlocal nflows, distinct, depth
-            stats = counts @ population
-            new_nflows = stats[:nres]
-            # Busy targets per resource; 1 without a distinct tag or when idle.
-            busy = (stats[nres:].reshape(len(targets), nres) > 0).sum(axis=0)
-            new_distinct = np.maximum(busy, 1)
-            changed = folded & ((new_nflows != nflows) | (new_distinct != distinct))
-            nflows, distinct, depth = new_nflows, new_distinct, new_nflows.astype(float)
-            for i in changed.nonzero()[0].tolist():
-                base[i] = providers[i].capacity(
-                    ResourceContext(now, depth[i], int(nflows[i]), 1.0, int(distinct[i]))
-                )
+            for i in state.take_touched() & folded:
+                n, d = nflows[i], state.distinct(i)
+                cap = folded_capacity.get((i, n, d))
+                if cap is None:
+                    cap = folded_capacity[i, n, d] = providers[i].capacity(
+                        ResourceContext(now, float(n), n, 1.0, d)
+                    )
+                base[i] = cap
 
         def issue(p: int, fresh: list[tuple[int, float, int, int]]) -> None:
             proc = procs[p]
@@ -282,7 +353,10 @@ class DESEngine(EngineBase):
         ext_owner = np.zeros(0, dtype=np.intp)
         ext_stall = np.zeros(0)
         ext_tries = np.zeros(0, dtype=np.intp)
-        dirty = True
+        # Counted solves of this run by (class counts, capacities): a solve
+        # is a pure function of the two and of this run's solver, so an
+        # event that repeats a pair reuses its rates, ``None`` included.
+        solved: dict[bytes, np.ndarray | None] = {}
         now = arrivals[0][0] if arrivals else 0.0
         segments = 0
         guard = 0
@@ -299,13 +373,12 @@ class DESEngine(EngineBase):
             if fresh:
                 cls_new, rem_new, owner_new, tries_new = zip(*fresh)
                 for c in cls_new:
-                    counts[c] += 1
+                    state.enter(c)
                 ext_cls = np.concatenate((ext_cls, cls_new))
                 ext_rem = np.concatenate((ext_rem, rem_new))
                 ext_owner = np.concatenate((ext_owner, owner_new))
                 ext_stall = np.concatenate((ext_stall, np.full(len(fresh), np.nan)))
                 ext_tries = np.concatenate((ext_tries, tries_new))
-                dirty = True
             if not ext_cls.size:
                 next_times = [arrivals[0][0]] if arrivals else []
                 if retry_heap:
@@ -316,24 +389,28 @@ class DESEngine(EngineBase):
             epoch = int(now / epoch_len) if has_epochs else 0
             resample(epoch)
 
-            if dirty:
-                refresh_population(now)
-                dirty = False
+            refresh_population(now)
             capacities = base * multipliers
             for i in dynamic:
+                n = nflows[i]
                 capacities[i] = providers[i].capacity(
-                    ResourceContext(now, depth[i], int(nflows[i]), multipliers[i], int(distinct[i]))
+                    ResourceContext(now, float(n), n, multipliers[i], state.distinct(i))
                 )
-            solve_t0 = perf_counter() if profiled else 0.0
-            class_rates = solver.solve(capacities, counts=counts)
+            key = counts.tobytes() + capacities.tobytes()
+            class_rates = solved.get(key, _UNSOLVED)
+            if class_rates is _UNSOLVED:
+                if len(solved) == _SOLVED_LIMIT:
+                    solved.clear()
+                solve_t0 = perf_counter() if profiled else 0.0
+                class_rates = solved[key] = solver.solve(capacities, counts=counts)
+                if profiled:
+                    prof.record("des.solve", perf_counter() - solve_t0)
             if class_rates is None:
                 # The fill's force-freeze corner depends on the flows'
                 # order: solve this event per extent, in active order.
                 rates_mib = max_min_rates([routes[c] for c in ext_cls.tolist()], capacities)
             else:
                 rates_mib = class_rates[ext_cls]
-            if profiled:
-                prof.record("des.solve", perf_counter() - solve_t0)
             rates = rates_mib * float(MiB)
             if retry is not None:
                 # A zero-rate chunk request is making no progress: run
@@ -394,7 +471,7 @@ class DESEngine(EngineBase):
             # Retire in active order, as the heap's seq tie-breaks expect.
             for j in leaving.nonzero()[0].tolist():
                 c, p = int(ext_cls[j]), int(ext_owner[j])
-                counts[c] -= 1
+                state.leave(c)
                 if done[j]:
                     seq = finish_request(p, now, seq)
                     continue
@@ -423,7 +500,6 @@ class DESEngine(EngineBase):
                         (now + retry.backoff_s(attempts), seq, (c, remaining, p, attempts)),
                     )
                     seq += 1
-            dirty = True
             keep = ~leaving
             ext_cls, ext_rem, ext_owner = ext_cls[keep], ext_rem[keep], ext_owner[keep]
             ext_stall, ext_tries = ext_stall[keep], ext_tries[keep]

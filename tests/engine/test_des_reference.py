@@ -8,7 +8,9 @@ membership, one capacity-provider call per resource, and a one-shot
 :class:`DESEngine` must reproduce its output bit for bit.  The
 reference stands in for ``DESEngine._integrate_inner`` during a run
 rather than living in a subclass, because engine seeds derive from the
-engine's class name.
+engine's class name.  :func:`population_product` keeps the one-product
+recomputation of the provider inputs that the incremental
+``_ClassState`` replaced.
 
 Run with ``--hypothesis-profile=verify`` for the long, derandomized
 sweep (see ``tests/conftest.py``).
@@ -32,7 +34,7 @@ from numpy.testing import assert_array_equal
 import repro.engine.des_runner as des_runner
 from repro.calibration.plafrim import scenario_by_name
 from repro.engine.base import EngineOptions
-from repro.engine.des_runner import _BYTES_EPS, _RATE_EPS, _TIME_EPS, DESEngine, _Proc
+from repro.engine.des_runner import _BYTES_EPS, _RATE_EPS, _TIME_EPS, DESEngine, _ClassState, _Proc
 from repro.errors import FlowError, SimulationError
 from repro.faults import FaultSchedule, server_outage, target_outage
 from repro.netsim.fluid import FlowTraceEvent, ResourceContext
@@ -282,7 +284,7 @@ def reference_loop(self, prepared, procs, checker, trace):
 @lru_cache(maxsize=None)
 def _platform(scenario: str):
     calib = scenario_by_name(scenario)
-    return calib, calib.platform(4)
+    return calib, calib.platform(8)
 
 
 def _engine(spec: dict) -> tuple[DESEngine, object]:
@@ -300,14 +302,16 @@ def _engine(spec: dict) -> tuple[DESEngine, object]:
         chooser += ":" + ",".join(map(str, PINNED_TARGETS[: spec["stripe"]]))
     deployment = calib.deployment(stripe_count=spec["stripe"], chooser=chooser)
     engine = DESEngine(calib, topo, deployment, seed=spec["seed"], options=options)
-    return engine, single_application(topo, spec["nodes"], ppn=spec["ppn"], total_bytes=32 * MiB)
+    # 32 MiB, or one 1 MiB transfer per rank when there are more ranks.
+    total = max(32, spec["nodes"] * spec["ppn"]) * MiB
+    return engine, single_application(topo, spec["nodes"], ppn=spec["ppn"], total_bytes=total)
 
 
 des_specs = st.fixed_dictionaries(
     {
         "scenario": st.sampled_from(["scenario1", "scenario2"]),
-        "nodes": st.integers(1, 4),
-        "ppn": st.integers(1, 4),
+        "nodes": st.integers(1, 8),
+        "ppn": st.integers(1, 8),
         "stripe": st.integers(1, 8),
         "chooser": st.sampled_from(
             ["roundrobin", "random", "balanced", "capacity", "failover", "fixed"]
@@ -333,8 +337,12 @@ des_specs = st.fixed_dictionaries(
 @settings(deadline=None)
 def test_route_classes_reproduce_the_per_extent_loop(spec):
     engine, app = _engine(spec)
-    result = engine.run([app], spec["rep"])
+    solves = []
+    solve = MaxMinSolver.solve
+    with patch.object(MaxMinSolver, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k)):
+        result = engine.run([app], spec["rep"])
     event("requests timed out" if result.fault_events else "no timeouts")
+    event("events reused a solve" if len(solves) < result.segments else "every event solved")
     with patch.object(DESEngine, "_integrate_inner", reference_loop):
         reference = engine.run([app], spec["rep"])
     assert result_fingerprint(result) == result_fingerprint(reference)
@@ -421,3 +429,117 @@ def test_the_per_extent_path_on_every_event_changes_nothing(monkeypatch):
 def test_counts_are_validated(bad):
     with pytest.raises(FlowError):
         MaxMinSolver([[0], [0, 1]], 2).solve([1.0, 1.0], counts=bad)
+
+
+def population_product(routes, class_targets, pools, nres, counts):
+    """Per-resource extent counts and distinct busy targets from one product.
+
+    This is how the class loop first derived its provider inputs: one
+    ``counts @ population`` product, whose first ``nres`` columns are the
+    incidence and whose remaining blocks count, for each (pool, target),
+    the extents on the pool heading to that target.
+    """
+    targets = sorted(set(class_targets))
+    population = np.zeros((len(routes), nres * (1 + len(targets))), dtype=np.intp)
+    for c, (route, target) in enumerate(zip(routes, class_targets)):
+        for i in route:
+            population[c, i] = 1
+            if i in pools:
+                population[c, nres * (1 + targets.index(target)) + i] = 1
+    stats = np.asarray(counts, dtype=np.intp) @ population
+    busy = (stats[nres:].reshape(len(targets), nres) > 0).sum(axis=0)
+    return stats[:nres].tolist(), np.maximum(busy, 1).tolist()
+
+
+@st.composite
+def class_systems(draw):
+    """Route classes over a few resources, some of them distinct-tag pools."""
+    nres = draw(st.integers(1, 6))
+    resource = st.integers(0, nres - 1)
+    route = st.sets(resource, min_size=1).map(sorted).map(tuple)
+    routes = draw(st.lists(route, min_size=1, max_size=6))
+    class_targets = draw(st.lists(st.integers(0, 2), min_size=len(routes), max_size=len(routes)))
+    return routes, class_targets, draw(st.sets(resource)), nres
+
+
+class _Population:
+    """A :class:`_ClassState` under test, its extents, and what the loop saw.
+
+    ``seen`` holds, per resource, the (extent count, distinct targets) the
+    loop would last have handed to its provider: :meth:`refresh` updates
+    exactly the resources the state reports as touched, as the loop does.
+    """
+
+    def __init__(self, routes, class_targets, pools, nres):
+        self.system = (routes, class_targets, pools, nres)
+        self.state = _ClassState(routes, class_targets, pools, nres)
+        self.active: list[int] = []  # classes of the active extents, in issue order
+        self.backing_off: list[int] = []  # timed-out extents waiting to retry
+        self.seen: dict[int, tuple[int, int]] = {}
+
+    def enter(self, c):
+        self.state.enter(c)
+        self.active.append(c)
+
+    def leave(self, j, action):
+        c = self.active.pop(j)
+        self.state.leave(c)
+        if action == "retry":
+            self.backing_off.append(c)
+
+    def refresh(self):
+        state = self.state
+        for i in state.take_touched():
+            self.seen[i] = (state.nflows[i], state.distinct(i))
+        routes, _, _, nres = self.system
+        counts = np.bincount(self.active, minlength=len(routes))
+        nflows, distinct = population_product(*self.system, counts)
+        assert state.counts.tolist() == counts.tolist()
+        assert state.nflows == nflows
+        assert [state.distinct(i) for i in range(nres)] == distinct
+        assert self.seen == {i: (nflows[i], distinct[i]) for i in range(nres)}
+
+
+@given(system=class_systems(), data=st.data())
+@settings(deadline=None)
+def test_class_state_tracks_the_population_product(system, data):
+    """Issue, finish, retry and abandon sequences, checked at every refresh."""
+    population = _Population(*system)
+    population.refresh()
+    nclasses = len(system[0])
+    for _ in range(data.draw(st.integers(1, 10), label="events")):
+        # An event's arrivals: issued chunk requests, then retries whose
+        # backoff ended; the loop then refreshes and solves.
+        for c in data.draw(st.lists(st.integers(0, nclasses - 1), max_size=4), label="issued"):
+            population.enter(c)
+        for _ in range(data.draw(st.integers(0, len(population.backing_off)), label="retried")):
+            population.enter(population.backing_off.pop(0))
+        population.refresh()
+        # The event's departures: completions, timeouts that retry later,
+        # timeouts past the retry budget.
+        for _ in range(data.draw(st.integers(0, len(population.active)), label="leaving")):
+            j = data.draw(st.integers(0, len(population.active) - 1))
+            population.leave(j, data.draw(st.sampled_from(["finish", "retry", "abandon"])))
+    population.refresh()
+
+
+def test_a_swap_that_keeps_a_pools_extent_count_moves_its_busy_targets():
+    """A completion and an arrival in one event: same extents, other targets.
+
+    Classes 0 and 1 reach pool resource 0 on target 7, class 2 on target
+    8.  Each refresh below leaves the pool's extent count at 2 and moves
+    only its busy targets, which its provider reads too.
+    """
+    population = _Population([(0, 1), (0, 2), (0, 3)], [7, 7, 8], {0}, 4)
+    population.enter(0)
+    population.enter(1)
+    population.refresh()
+    assert population.seen[0] == (2, 1)
+    population.leave(0, "finish")  # class 0
+    population.enter(2)
+    population.refresh()
+    assert population.seen[0] == (2, 2)
+    population.leave(0, "abandon")  # class 1
+    population.enter(2)
+    population.refresh()
+    assert population.seen[0] == (2, 1)

@@ -179,6 +179,16 @@ CORPUS = (
         ),
         engine="des",
     ),
+    # DES at the paper's scale: 8 nodes x 8 ppn writing 1 GiB, about
+    # 2000 events per repetition, most of them revisiting a class-count
+    # vector an earlier event of the run already solved.
+    Case(
+        "des-s2-n8-ppn8-stripe4-1gib",
+        ExperimentSpec(
+            "des", "scenario2", {"num_nodes": 8, "ppn": 8, "stripe_count": 4, "total_gib": 1}
+        ),
+        engine="des",
+    ),
 )
 
 
