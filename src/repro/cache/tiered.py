@@ -37,7 +37,7 @@ from ..telemetry.bus import get_bus
 from .disk import ResultCache
 from .memory import MemoryTier
 from .remote import RemoteTier
-from .tier import EntryKey, make_entry
+from .tier import EntryKey
 
 __all__ = ["TieredCache", "tier_stats", "reset_tier_stats"]
 
@@ -225,20 +225,13 @@ class TieredCache:
 
     # -- stores ------------------------------------------------------------
 
-    def store(
-        self,
-        spec: ScenarioSpec,
-        rep: int,
-        result: Any,
-        events: list[dict[str, Any]],
-    ) -> dict[str, Any]:
-        """Write one finished run through every tier; returns the entry.
+    def store(self, entry: Mapping[str, Any]) -> None:
+        """Write one finished run's entry (see :func:`make_entry`) through every tier.
 
         Disk first (``OSError`` propagates — the caller's breaker
         accounting is the contract); only a durable entry is admitted
         to the memory tier or shipped to the remote one.
         """
-        entry = make_entry(spec, rep, result, events)
         self.disk.store_entry(entry)
         if self.memory is not None:
             self.memory.store_entry(entry)
@@ -248,7 +241,6 @@ class TieredCache:
             else:
                 _tick("remote", "degraded")
                 self._emit_tier(get_bus(), "degraded")
-        return entry
 
     # -- introspection -----------------------------------------------------
 

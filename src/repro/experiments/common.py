@@ -9,10 +9,9 @@ campaign through the process-wide
 cache included).  The factor vocabulary itself is documented on
 :func:`repro.scenario.compile.default_apps_builder`.
 
-:class:`StandardExecutor` remains for callers that need a bespoke
-``apps_builder`` (timeline figures with pinned placements) or direct
-engine access; it executes engines directly and never touches the
-cache.
+:class:`StandardExecutor` remains for callers that need direct engine
+access (the ``repro bench`` fluid-engine timings); it executes engines
+directly and never touches the cache.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..scenario.compile import compile_scenario, default_apps_builder
 from ..service import ServiceExecutor
 from ..telemetry.profiling import get_profiler
 from ..topology.graph import Topology
-from ..workload.application import Application
 
 __all__ = [
     "ExperimentOutput",
@@ -46,10 +44,7 @@ __all__ = [
     "run_specs",
     "protocol_options",
     "default_apps_builder",
-    "AppsBuilder",
 ]
-
-AppsBuilder = Callable[[Topology, Mapping[str, Any]], list[Application]]
 
 
 @dataclass
@@ -112,25 +107,18 @@ def sweep(
 class StandardExecutor:
     """A direct-engine executor (no service, no cache).
 
-    Used where the run needs something the IR cannot express — a custom
-    ``apps_builder`` with pinned placements — and by benchmarks that
-    must always execute.  Engines (and their platform topologies) are
-    cached per configuration key so a 100-repetition protocol pays
-    construction once.
+    Used by benchmarks that must always execute.  Engines (and their
+    platform topologies) are cached per configuration key so a
+    100-repetition protocol pays construction once.
     """
 
     seed: int = 0
     options: EngineOptions = field(default_factory=EngineOptions)
     engine_cls: type = FluidEngine
     max_nodes: int = 32
-    apps_builder: AppsBuilder = field(default=None)  # type: ignore[assignment]
     _calibrations: dict[str, Calibration] = field(default_factory=dict, repr=False)
     _topologies: dict[str, Topology] = field(default_factory=dict, repr=False)
     _engines: dict[str, Any] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.apps_builder is None:
-            self.apps_builder = default_apps_builder
 
     def calibration(self, scenario: str) -> Calibration:
         if scenario not in self._calibrations:
@@ -165,7 +153,7 @@ class StandardExecutor:
 
     def __call__(self, spec: ExperimentSpec, rep: int) -> RunResult:
         engine = self.engine(spec)
-        apps = self.apps_builder(self.topology(spec.scenario), spec.factors)
+        apps = default_apps_builder(self.topology(spec.scenario), spec.factors)
         return engine.run(apps, rep=rep)
 
 
@@ -220,7 +208,6 @@ def run_specs(
     repetitions: int = 100,
     seed: int = 0,
     options: EngineOptions = EngineOptions(),
-    apps_builder: AppsBuilder | None = None,
     max_nodes: int = 32,
     builder: str = "standard",
     progress: Callable[[str], None] | None = None,
@@ -243,8 +230,7 @@ def run_specs(
     previously-simulated (configuration, rep) pairs replay from the
     content-addressed cache; ``cache=False`` (or a ``--no-cache``
     campaign) forces execution, and runs with ``validation`` enabled
-    always execute.  A custom ``apps_builder`` cannot be fingerprinted,
-    so those campaigns fall back to a direct (uncached) executor.
+    always execute.
 
     ``on_error``/``checkpoint``/``resume``/``checkpoint_every`` configure
     the :class:`~repro.methodology.runner.ProtocolRunner`'s resilience;
@@ -274,28 +260,19 @@ def run_specs(
         max_wait_s=1800.0 if repetitions >= 20 else 0.0,
     )
     plan = ExperimentPlan.build(specs, protocol, seed=seed)
-    executor: Any
-    if apps_builder is not None:
-        executor = StandardExecutor(
-            seed=seed,
-            options=options,
-            max_nodes=max_nodes,
-            apps_builder=apps_builder,
+    scenarios = {
+        spec.key: compile_scenario(
+            spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
         )
-    else:
-        scenarios = {
-            spec.key: compile_scenario(
-                spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
-            )
-            for spec in specs
-        }
-        executor = ServiceExecutor(
-            scenarios=scenarios,
-            cache=bool(cache),
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            cache_remote=None if cache_remote is None else str(cache_remote),
-            seed=seed,
-        )
+        for spec in specs
+    }
+    executor = ServiceExecutor(
+        scenarios=scenarios,
+        cache=bool(cache),
+        cache_dir=None if cache_dir is None else str(cache_dir),
+        cache_remote=None if cache_remote is None else str(cache_remote),
+        seed=seed,
+    )
     if workers is not None and workers > 1:
         runner: ProtocolRunner = ParallelProtocolRunner(
             executor,

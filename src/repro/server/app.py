@@ -27,11 +27,15 @@ jobs finish, checkpoint state (the WAL is already on disk — drain just
 finishes the in-flight tail), and exit 0.
 
 Execution is serialized across worker threads by a process-wide lock:
-the engine contexts and the service's event-capture ring are not
-thread-safe, and concurrent captures on one bus would cross-pollute the
-cached event streams.  Workers still matter — they pipeline journal
-writes, cache replays and client waits around the single execution
-stream — but the simulation itself runs one-at-a-time by design.
+the engine contexts and the service's breaker and tallies are not
+thread-safe.  A job is one
+:meth:`~repro.service.SimulationService.resolve` call under that lock,
+so its cache probe, its engine run on a miss and its cache write are
+serialized with the simulation.  Workers still matter — they pipeline
+the journaled lease and done/failed writes, the lease and completion
+events and the SLO accounting around the single execution stream,
+while handler threads answer waits — but the simulation itself runs
+one-at-a-time by design.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from pathlib import Path
 from typing import Any
 
 from ..cache import validate_entry
-from ..engine.result import result_to_jsonable
 from ..errors import ConfigError, ProtocolError
 from ..orchestrator.queue import DurableJobQueue
 from ..scenario import ScenarioSpec
@@ -183,10 +186,6 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         self._lock = threading.RLock()
         self._jobs: dict[tuple[str, int], _Job] = {}
         self._work: collections.deque[_Job] = collections.deque()
-        # Bulk-prefetched result-cache entries for queued jobs, staged by
-        # workers and consumed by _execute with per-job hit accounting.
-        self._prefetched: dict[tuple[str, int], dict[str, Any]] = {}
-        self._prefetch_seen: set[tuple[str, int]] = set()
         self._work_cv = threading.Condition(self._lock)
         self._stopping = False
         self._drained = threading.Event()
@@ -400,86 +399,29 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
                     rep=job.rep,
                     queue_wait_s=wait_s,
                 )
-            self._prefetch_backlog(job)
             self._execute(job)
             with self._lock:
                 self.worker_state[me] = "idle"
             self._maybe_drained()
-
-    def _prefetch_backlog(self, current: _Job) -> None:
-        """Bulk-load cache entries for the queued backlog (plus ``current``).
-
-        One directory scan per distinct fingerprint covers every queued
-        rep; staged entries are consumed by :meth:`_execute`, which does
-        the per-job hit accounting — so tallies, events and breaker
-        state match the per-run lookup path exactly.  Prefetch itself
-        counts and emits nothing; a failure here degrades silently to
-        the per-run path.
-        """
-        with self._lock:
-            backlog = [
-                (j.scenario, j.rep)
-                for j in [current, *self._work]
-                if j.scenario is not None
-                and (j.fingerprint, j.rep) not in self._prefetch_seen
-            ]
-            for spec, rep in backlog:
-                self._prefetch_seen.add((spec.fingerprint, rep))
-        if not backlog:
-            return
-        try:
-            entries = get_service().prefetch(
-                backlog, cache=True, cache_dir=self.cache_dir
-            )
-        except Exception:  # noqa: BLE001 — prefetch is opportunistic
-            return
-        if entries:
-            with self._lock:
-                for (fingerprint, _engine, rep), entry in entries.items():
-                    self._prefetched[(fingerprint, rep)] = entry
 
     def _execute(self, job: _Job) -> None:
         scenario = job.scenario
         assert scenario is not None  # only spec-backed jobs reach the deque
         bus = get_bus()
         run_ctx = job.span("run") if bus.tracing and job.trace else None
-        with self._lock:
-            prefetched = self._prefetched.pop((scenario.fingerprint, job.rep), None)
-        pre_cached = prefetched is not None
-        if prefetched is None:
-            try:
-                pre_cached = self._store.load(scenario, job.rep) is not None
-            except OSError:
-                pre_cached = False
         started = time.perf_counter()
         try:
             # The run span covers execution: with tracing on, the
             # service's cache probe and the engine's own events are all
             # stamped with this job's trace while we hold the scope.
             with trace_scope(run_ctx), _EXEC_LOCK:
-                if prefetched is not None:
-                    result = get_service().resolve_prefetched(prefetched)
-                else:
-                    result = get_service().run(
-                        scenario, job.rep, cache=True, cache_dir=self.cache_dir
-                    )
-            entry = prefetched
-            if entry is None:
-                try:
-                    entry = self._store.load(scenario, job.rep)
-                except OSError:
-                    entry = None
-            if entry is not None:
-                job.result = entry["result"]
-                job.events = list(entry.get("events", ()))
-            else:
-                # Cache store failed (degraded mode): serve the live
-                # result; events were only captured into the cache, so
-                # the client replays none.
-                job.result = result_to_jsonable(result)
-                job.events = []
+                entry, cached = get_service().resolve(
+                    scenario, job.rep, cache=True, cache_dir=self.cache_dir
+                )
+            job.result = entry["result"]
+            job.events = list(entry.get("events", ()))
             job.status = "ok"
-            job.cached = pre_cached
+            job.cached = cached
         except Exception as exc:  # noqa: BLE001 — a job failure is data
             job.status = "failed"
             job.error = f"{type(exc).__name__}: {exc}"

@@ -40,13 +40,14 @@ back with each outcome.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from .cache import CACHE_SCHEMA, MemoryTier, RemoteTier, ResultCache, TieredCache
+from .cache import CACHE_SCHEMA, MemoryTier, RemoteTier, ResultCache, TieredCache, make_entry
 from .cache.disk import default_cache_dir
 from .engine.result import RunResult, result_from_jsonable, result_to_jsonable
 from .errors import ConfigError, ExperimentError
@@ -216,6 +217,24 @@ def cache_config(
         _CACHE_DEFAULTS.update(previous)
 
 
+class _RunCapture(RingBufferSink):
+    """The ring a cache miss records its run's events into.
+
+    It keeps only the events of the thread that attached it: other
+    threads emit on the same process-wide bus while a run executes (a
+    server's second worker completing its job, a handler opening a
+    session), and those are not the run's events to replay on a hit.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(RUN_RING_CAPACITY)
+        self._thread = threading.get_ident()
+
+    def emit(self, event: dict[str, Any]) -> None:
+        if threading.get_ident() == self._thread:
+            super().emit(event)
+
+
 # -- the service -------------------------------------------------------------------
 
 
@@ -326,6 +345,38 @@ class SimulationService:
             self._contexts[key] = ctx
         return ctx
 
+    def _tiers_for(
+        self,
+        spec: ScenarioSpec,
+        cache: bool | None,
+        cache_dir: str | Path | None,
+        cache_remote: str | None,
+    ) -> TieredCache | None:
+        """The tiers a run resolves through, or ``None`` to run it cache-off.
+
+        ``cache``/``cache_dir``/``cache_remote`` default to the ambient
+        :func:`cache_config` policy.  Validated runs never touch the
+        cache: their purpose is to execute the invariant checkers.  A
+        cache-off run is counted here: ``uncached`` (``cache=False``),
+        ``bypassed`` (a validated spec) or ``degraded`` (the breaker is
+        open).
+        """
+        if cache is None:
+            cache = bool(_CACHE_DEFAULTS["cache"])
+        if cache_dir is None:
+            cache_dir = _CACHE_DEFAULTS["cache_dir"]
+        if cache_remote is None:
+            cache_remote = _CACHE_DEFAULTS["cache_remote"]
+        use_cache = cache and spec.options.validation is ValidationLevel.OFF
+        if use_cache and not self.breaker.allow():
+            _count("degraded")
+            self._emit_breaker(get_bus())
+            return None
+        if not use_cache:
+            _count("bypassed" if cache else "uncached")
+            return None
+        return self._tiered(cache_dir, cache_remote)
+
     def run(
         self,
         spec: ScenarioSpec,
@@ -337,40 +388,57 @@ class SimulationService:
     ) -> RunResult:
         """Execute (or replay) one repetition of a scenario.
 
-        ``cache``/``cache_dir``/``cache_remote`` default to the ambient
-        :func:`cache_config` policy.  Validated runs never touch the
-        cache: their purpose is to execute the invariant checkers.  On a
-        miss the result is passed through the exact JSON codec before it
-        is returned, so a cold result and its later cache-hit replay are
-        byte-identical.
-
-        Cache I/O failures never fail the run: each disk ``OSError`` on
-        load or store is counted (``error``) and strikes the circuit
-        breaker; once the breaker opens, runs execute cache-off
-        (``degraded``) until the cooldown's half-open probe succeeds.
-        Remote-tier faults degrade inside the composite (per-tier
-        breaker) and never reach this accounting.
+        The cache arguments are those of :meth:`resolve`.  A cached run
+        decodes its entry's result, so a cold result and its later
+        cache-hit replay are byte-identical; a cache-off run returns
+        the engine's result as it is.
         """
-        if cache is None:
-            cache = bool(_CACHE_DEFAULTS["cache"])
-        if cache_dir is None:
-            cache_dir = _CACHE_DEFAULTS["cache_dir"]
-        if cache_remote is None:
-            cache_remote = _CACHE_DEFAULTS["cache_remote"]
-        use_cache = cache and spec.options.validation is ValidationLevel.OFF
-        bus = get_bus()
-        degraded = use_cache and not self.breaker.allow()
-        if degraded:
-            use_cache = False
-            _count("degraded")
-            self._emit_breaker(bus)
-        if not use_cache:
-            if not degraded:
-                _count("bypassed" if cache else "uncached")
+        tiers = self._tiers_for(spec, cache, cache_dir, cache_remote)
+        if tiers is None:
             ctx = self.context(spec)
             return ctx.engine.run(ctx.make_apps(), rep=rep)
+        entry, _hit = self._resolve(tiers, spec, rep)
+        return result_from_jsonable(entry["result"])
 
-        tiers = self._tiered(cache_dir, cache_remote)
+    def resolve(
+        self,
+        spec: ScenarioSpec,
+        rep: int,
+        *,
+        cache: bool | None = None,
+        cache_dir: str | Path | None = None,
+        cache_remote: str | None = None,
+    ) -> tuple[dict[str, Any], bool]:
+        """One repetition's cache entry, and whether the cache hit.
+
+        A hit returns the entry the cache holds.  A miss executes and
+        returns the entry built from the engine's result and the events
+        captured during the run, whether or not its disk write landed.
+        A run executed cache-off (``cache=False``, a validated spec, an
+        open breaker) has no entry: it comes back as the live result's
+        ``result_to_jsonable`` with no events, and ``False``.
+
+        ``cache``/``cache_dir``/``cache_remote`` default to the ambient
+        :func:`cache_config` policy.  Cache I/O failures never fail the
+        run: each disk ``OSError`` on load or store is counted
+        (``error``) and strikes the circuit breaker; once the breaker
+        opens, runs execute cache-off (``degraded``) until the
+        cooldown's half-open probe succeeds.  Remote-tier faults degrade
+        inside the composite (per-tier breaker) and never reach this
+        accounting.
+        """
+        tiers = self._tiers_for(spec, cache, cache_dir, cache_remote)
+        if tiers is None:
+            ctx = self.context(spec)
+            result = ctx.engine.run(ctx.make_apps(), rep=rep)
+            return {"result": result_to_jsonable(result), "events": []}, False
+        return self._resolve(tiers, spec, rep)
+
+    def _resolve(
+        self, tiers: TieredCache, spec: ScenarioSpec, rep: int
+    ) -> tuple[dict[str, Any], bool]:
+        """The cached path of :meth:`run` and :meth:`resolve`."""
+        bus = get_bus()
         probe_started = time.perf_counter()
         try:
             entry = tiers.lookup(spec, rep)
@@ -384,7 +452,7 @@ class SimulationService:
                 _count("hit")
                 bus.replay(entry.get("events", ()))
                 self._emit_cache_span(bus, "hit", probe_started)
-                return result_from_jsonable(entry["result"])
+                return entry, True
 
         _count("miss")
         ctx = self.context(spec)
@@ -393,15 +461,15 @@ class SimulationService:
         # even when no user sink is attached — the attached ring enables
         # the bus, and instrumentation is proven byte-identical — so a
         # later hit can replay the run's events, not just its result.
-        ring = RingBufferSink(RUN_RING_CAPACITY)
+        ring = _RunCapture()
         bus.attach(ring)
         try:
             result = ctx.engine.run(apps, rep=rep)
         finally:
             bus.detach(ring)
-        result = result_from_jsonable(result_to_jsonable(result))
+        entry = make_entry(spec, rep, result, ring.events)
         try:
-            tiers.store(spec, rep, result, ring.events)
+            tiers.store(entry)
         except OSError:
             self._cache_fault(bus)
         else:
@@ -410,7 +478,7 @@ class SimulationService:
         # After the ring detaches: the span marker must not be captured
         # into the cache entry, or a replayed hit would claim a miss.
         self._emit_cache_span(bus, "miss", probe_started)
-        return result
+        return entry, False
 
     def prefetch(
         self,
@@ -472,40 +540,6 @@ class SimulationService:
         bus.replay(entry.get("events", ()))
         self._emit_cache_span(bus, "hit", started)
         return result_from_jsonable(entry["result"])
-
-    def run_many(
-        self,
-        jobs: "list[tuple[ScenarioSpec, int]]",
-        *,
-        cache: bool | None = None,
-        cache_dir: str | Path | None = None,
-        cache_remote: str | None = None,
-    ) -> list[RunResult]:
-        """Execute (or replay) many ``(spec, rep)`` jobs, in job order.
-
-        One fingerprint-sorted bulk pass resolves every cache hit; only
-        the misses execute.  Results come back in the order given, and
-        each job's events/counters are emitted at its own position.
-        """
-        entries = self.prefetch(
-            jobs, cache=cache, cache_dir=cache_dir, cache_remote=cache_remote
-        )
-        results: list[RunResult] = []
-        for spec, rep in jobs:
-            entry = entries.pop((spec.fingerprint, spec.engine, int(rep)), None)
-            if entry is not None:
-                results.append(self.resolve_prefetched(entry))
-            else:
-                results.append(
-                    self.run(
-                        spec,
-                        rep,
-                        cache=cache,
-                        cache_dir=cache_dir,
-                        cache_remote=cache_remote,
-                    )
-                )
-        return results
 
     def _cache_fault(self, bus: Any) -> None:
         _count("error")

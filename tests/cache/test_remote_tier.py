@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import service
-from repro.cache import MemoryTier, RemoteTier, ResultCache, TieredCache
+from repro.cache import MemoryTier, RemoteTier, ResultCache, TieredCache, make_entry
 from repro.cache.remote import parse_address
 from repro.errors import ConfigError
 from repro.methodology.plan import ExperimentSpec
@@ -69,7 +69,7 @@ class TestRemoteTierRoundTrip:
         spec = _spec()
         svc = get_service()
         local = ResultCache(tmp_path / "local")
-        TieredCache(disk=local).store(spec, 0, svc.run(spec, 0, cache=False), [])
+        TieredCache(disk=local).store(make_entry(spec, 0, svc.run(spec, 0, cache=False), []))
         entry = local.load(spec, 0)
         with serve_in_thread(_config(tmp_path)) as server:
             writer = RemoteTier("127.0.0.1", server.port)

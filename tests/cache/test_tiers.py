@@ -229,7 +229,7 @@ class TestTieredCache:
         memory = MemoryTier()
         tiers = TieredCache(disk=ResultCache(tmp_path), memory=memory)
         cold = svc.run(spec, 0, cache=False)
-        tiers.store(spec, 0, cold, [])
+        tiers.store(make_entry(spec, 0, cold, []))
         assert len(ResultCache(tmp_path)) == 1
         assert memory.lookup(spec, 0) is not None
 
@@ -237,7 +237,7 @@ class TestTieredCache:
         spec = _spec()
         svc = get_service()
         disk = ResultCache(tmp_path)
-        TieredCache(disk=disk).store(spec, 0, svc.run(spec, 0, cache=False), [])
+        TieredCache(disk=disk).store(make_entry(spec, 0, svc.run(spec, 0, cache=False), []))
         memory = MemoryTier()
         tiers = TieredCache(disk=disk, memory=memory)
         reset_tier_stats()
@@ -259,7 +259,7 @@ class TestTieredCache:
         memory = MemoryTier()
         tiers = TieredCache(disk=disk, memory=memory)
         for rep in range(2):
-            tiers.store(spec, rep, svc.run(spec, rep, cache=False), [])
+            tiers.store(make_entry(spec, rep, svc.run(spec, rep, cache=False), []))
         memory.drop(spec, 1)  # rep 1 now answers from disk, rep 2 misses
         hits = tiers.lookup_many([(spec, 0), (spec, 1), (spec, 2)])
         keys = {(spec.fingerprint, spec.engine, r) for r in (0, 1)}
@@ -271,7 +271,7 @@ class TestTieredCache:
         svc = get_service()
         tiers = TieredCache(disk=ResultCache(tmp_path), memory=MemoryTier())
         cold = svc.run(spec, 0, cache=False)
-        tiers.store(spec, 0, cold, [])
+        tiers.store(make_entry(spec, 0, cold, []))
         from repro.engine.result import result_from_jsonable, result_to_jsonable
 
         # The codec-normalized cold result is what a cached run returns.

@@ -317,12 +317,12 @@ des_specs = st.fixed_dictionaries(
             ["roundrobin", "random", "balanced", "capacity", "failover", "fixed"]
         ),
         "noise": st.booleans(),
-        # (target or server, outage start and duration in s, retries
-        # before abandoning); a 3 ms outage ends before the 5 ms timeout,
-        # so stalled requests resume.
+        # (a target or a server, picked by _aim_outage; outage start and
+        # duration in s; retries before abandoning); a 3 ms outage ends
+        # before the 5 ms timeout, so stalled requests resume.
         "outage": st.none()
         | st.tuples(
-            st.sampled_from([101, 201, 204, "storage1", "storage2"]),
+            st.sampled_from(["target", "server"]),
             st.sampled_from([0.002, 0.005, 0.01]),
             st.sampled_from([math.inf, 0.003]),
             st.integers(0, 2),
@@ -333,14 +333,36 @@ des_specs = st.fixed_dictionaries(
 )
 
 
-@given(spec=des_specs)
+def _aim_outage(spec: dict, data: st.DataObject) -> dict:
+    """Aim a drawn outage at a target, or a server, that holds part of the file.
+
+    The placement is the one a fault-free engine's ``prepare`` gives for
+    the same seed and rep; outages start after file creation, so the
+    faulted run stripes the file over the same targets.
+    """
+    if spec["outage"] is None:
+        return spec
+    kind, start, duration, max_retries = spec["outage"]
+    engine, app = _engine({**spec, "outage": None})
+    prepared = engine.prepare([app], spec["rep"])
+    targets = sorted({t for placed in prepared.app_targets.values() for t in placed})
+    if kind == "server":
+        targets = sorted({prepared.target_host[t] for t in targets})
+    component = data.draw(st.sampled_from(targets), label=f"outage {kind}")
+    return {**spec, "outage": (component, start, duration, max_retries)}
+
+
+@given(spec=des_specs, data=st.data())
 @settings(deadline=None)
-def test_route_classes_reproduce_the_per_extent_loop(spec):
+def test_route_classes_reproduce_the_per_extent_loop(spec, data):
+    spec = _aim_outage(spec, data)
     engine, app = _engine(spec)
     solves = []
     solve = MaxMinSolver.solve
     with patch.object(MaxMinSolver, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k)):
         result = engine.run([app], spec["rep"])
+    if spec["outage"] is not None:
+        event("permanent outage" if math.isinf(spec["outage"][2]) else "3 ms outage")
     event("requests timed out" if result.fault_events else "no timeouts")
     event("events reused a solve" if len(solves) < result.segments else "every event solved")
     with patch.object(DESEngine, "_integrate_inner", reference_loop):

@@ -7,20 +7,28 @@ subprocess boundary (the chaos harness covers that).
 """
 
 import json
+import shutil
 import socket
+import time
 
 import pytest
 
+from repro.cache import ResultCache, TieredCache
+from repro.engine.base import EngineOptions
+from repro.engine.fluid_runner import FluidEngine
 from repro.engine.result import result_from_jsonable, result_to_jsonable
 from repro.errors import ConfigError, RemoteError
 from repro.client import RemoteClient
+from repro.faults import FaultSchedule, target_outage
 from repro.methodology.plan import ExperimentSpec
+from repro.orchestrator.supervise import CircuitBreaker
 from repro.scenario.compile import compile_scenario
 from repro.server import OrchestratorServer, ServerConfig
 from repro.server.netchaos import serve_in_thread
 from repro.server.protocol import message, recv_frame, send_frame
 from repro.service import get_service
 from repro.telemetry.bus import RingBufferSink, get_bus
+from repro.verify.level import ValidationLevel
 
 
 def _scenario(num_nodes=2, seed=0):
@@ -28,6 +36,25 @@ def _scenario(num_nodes=2, seed=0):
         "server-e2e", "scenario1", {"num_nodes": num_nodes, "stripe_count": 4}
     )
     return compile_scenario(spec, seed=seed, max_nodes=4)
+
+
+def _faulted_scenario(validation=ValidationLevel.OFF):
+    """A run whose cache entry carries events: an outage of a striped target."""
+    options = EngineOptions(
+        fault_schedule=FaultSchedule([target_outage(201, 0.5, 1.0)]),
+        validation=validation,
+    )
+    spec = ExperimentSpec(
+        "server-e2e",
+        "scenario1",
+        {
+            "num_nodes": 2,
+            "stripe_count": 4,
+            "chooser": "fixed:101,201,102,202",
+            "total_gib": 1,
+        },
+    )
+    return compile_scenario(spec, seed=0, options=options, max_nodes=4)
 
 
 def _config(tmp_path, **overrides):
@@ -319,3 +346,77 @@ class TestStatePersistence:
             assert spec_file.is_file()
             stored = json.loads(spec_file.read_text())
             assert stored == scenario.to_jsonable()
+
+
+class TestJobPath:
+    """A job is one service call: one cache probe, and the entry it
+    resolves is what the reply carries."""
+
+    def _run_all(self, config, jobs):
+        with serve_in_thread(config) as server:
+            with RemoteClient("127.0.0.1", server.port, fallback=False) as client:
+                for scenario, rep in jobs:
+                    client.submit(scenario, rep)
+                frames = [client.wait(scenario, rep) for scenario, rep in jobs]
+            return frames, server.stats()
+
+    def test_a_new_job_probes_the_disk_tier_once(self, tmp_path, monkeypatch):
+        loads, bulk = [], []
+        load, lookup_many = ResultCache.load, TieredCache.lookup_many
+        monkeypatch.setattr(
+            ResultCache, "load", lambda *a, **k: loads.append(1) or load(*a, **k)
+        )
+        monkeypatch.setattr(
+            TieredCache,
+            "lookup_many",
+            lambda *a, **k: bulk.append(1) or lookup_many(*a, **k),
+        )
+        (frame,), _ = self._run_all(_config(tmp_path), [(_scenario(), 0)])
+        assert frame["status"] == "ok" and frame["cached"] is False
+        assert len(loads) == 1
+        assert bulk == []
+
+    def test_a_warm_state_dir_answers_every_job_from_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = [(s, rep) for s in (_scenario(), _faulted_scenario()) for rep in (0, 1)]
+        first = _config(tmp_path / "first")
+        self._run_all(first, jobs)
+        warm = _config(tmp_path / "warm")
+        shutil.copytree(first.state_dir / "cache", warm.state_dir / "cache")
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm server executed an engine")
+
+        monkeypatch.setattr(FluidEngine, "run", no_engine)
+        frames, stats = self._run_all(warm, jobs)
+        assert stats["cache"]["hits"] == len(jobs)
+        stored = ResultCache(warm.state_dir / "cache")
+        for (scenario, rep), frame in zip(jobs, frames):
+            entry = stored.load(scenario, rep)
+            assert frame["status"] == "ok" and frame["cached"] is True
+            assert frame["result"] == entry["result"]
+            assert frame["events"] == entry["events"]
+        assert all(frame["events"] for frame in frames[2:])
+
+    @pytest.mark.parametrize("cause", ["validated", "breaker-open"])
+    def test_a_cache_off_run_replies_the_live_result(self, tmp_path, monkeypatch, cause):
+        config = _config(tmp_path)
+        # The disk holds the twin's entry (the fingerprint ignores
+        # validation), events included; a cache-off run must not send it.
+        get_service().run(_faulted_scenario(), 0, cache_dir=config.state_dir / "cache")
+        if cause == "validated":
+            scenario = _faulted_scenario(ValidationLevel.BASIC)
+        else:
+            scenario = _faulted_scenario()
+            monkeypatch.setattr(
+                get_service(),
+                "breaker",
+                CircuitBreaker(state="open", failures=3, opened_at=time.time()),
+            )
+        local = result_to_jsonable(get_service().run(scenario, 0, cache=False))
+        (frame,), stats = self._run_all(config, [(scenario, 0)])
+        assert frame["status"] == "ok" and frame["cached"] is False
+        assert frame["result"] == local
+        assert frame["events"] == []
+        assert stats["cache"] == {"hits": 0, "misses": 1, "hit_ratio": 0.0}

@@ -9,11 +9,13 @@ always execute; corrupted or mismatched entries degrade to misses.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro import service
 from repro.engine.base import EngineOptions
+from repro.engine.fluid_runner import FluidEngine
 from repro.methodology.plan import ExperimentSpec
 from repro.scenario import ScenarioSpec
 from repro.scenario.compile import compile_scenario
@@ -34,10 +36,14 @@ def _clean_stats():
     assert all(after[k] >= before[k] for k in before)
 
 
-def _spec(**factors) -> ScenarioSpec:
+def _planned(**factors) -> ExperimentSpec:
     base = {"num_nodes": 2, "ppn": 4, "total_gib": 1, "stripe_count": 2}
     base.update(factors)
-    return compile_scenario(ExperimentSpec("cachetest", "scenario1", base))
+    return ExperimentSpec("cachetest", "scenario1", base)
+
+
+def _spec(**factors) -> ScenarioSpec:
+    return compile_scenario(_planned(**factors))
 
 
 def _delta(before, after):
@@ -171,36 +177,76 @@ class TestResultCache:
         assert after == before + 1
 
 
+class TestEventCapture:
+    def test_an_entry_keeps_only_its_own_threads_events(self, tmp_path, monkeypatch):
+        """What another thread emits during a run (a server's second
+        worker, a connection handler) is not replayed with its entry."""
+        bus = get_bus()
+        engine_run = FluidEngine.run
+
+        def run_beside_another_thread(self, apps, rep=0):
+            other = threading.Thread(
+                target=bus.emit,
+                args=("server.session",),
+                kwargs={"action": "open", "session": "s2"},
+            )
+            other.start()
+            other.join()
+            bus.emit("server.session", action="renew", session="s1")
+            return engine_run(self, apps, rep=rep)
+
+        monkeypatch.setattr(FluidEngine, "run", run_beside_another_thread)
+        entry, hit = get_service().resolve(_spec(total_gib=5), 0, cache_dir=tmp_path)
+        assert hit is False
+        assert [(e["event"], e["session"]) for e in entry["events"]] == [
+            ("server.session", "s1")
+        ]
+
+
 class TestBulkLookup:
-    """The bulk path (prefetch / run_many) is tally- and result-
-    equivalent to probing the cache run by run — the parallel runner
-    and the job server depend on this for ``service.cache`` parity."""
+    """The bulk path (prefetch, then resolve at the run's position) is
+    tally- and result-equivalent to probing the cache run by run — the
+    campaign walk depends on this for ``service.cache`` parity."""
 
     def _jobs(self, reps=2):
         specs = (_spec(stripe_count=2), _spec(stripe_count=4))
         return [(spec, rep) for spec in specs for rep in range(reps)]
 
-    def test_run_many_cold_then_warm_tallies(self, tmp_path):
-        svc = get_service()
-        jobs = self._jobs()
+    def _campaign(self, tmp_path, reps=2):
+        """A ``ServiceExecutor`` over ``_jobs``' specs, and its planned jobs."""
+        planned = (_planned(stripe_count=2), _planned(stripe_count=4))
+        executor = ServiceExecutor(
+            scenarios={p.key: compile_scenario(p) for p in planned},
+            cache_dir=str(tmp_path),
+        )
+        return executor, [(p, rep) for p in planned for rep in range(reps)]
+
+    def _bulk(self, executor, jobs):
+        """The production bulk path: one prefetch, then each run in order."""
+        executor.prefetch(jobs)
+        return [executor(spec, rep) for spec, rep in jobs]
+
+    def test_prefetched_cold_then_warm_tallies(self, tmp_path):
+        executor, jobs = self._campaign(tmp_path)
         before = service.cache_stats()
-        cold = svc.run_many(jobs, cache_dir=tmp_path)
+        cold = self._bulk(executor, jobs)
         assert _delta(before, service.cache_stats())["miss"] == 4
         before = service.cache_stats()
-        warm = svc.run_many(jobs, cache_dir=tmp_path)
+        warm = self._bulk(executor, jobs)
         stats = _delta(before, service.cache_stats())
         assert stats["hit"] == 4 and stats["miss"] == 0
         assert [result_fingerprint(r) for r in warm] == [
             result_fingerprint(r) for r in cold
         ]
 
-    def test_run_many_mixed_matches_per_run(self, tmp_path):
+    def test_prefetched_mixed_matches_per_run(self, tmp_path):
         svc = get_service()
-        jobs = self._jobs()
+        executor, planned = self._campaign(tmp_path)
+        jobs = [(executor.scenarios[spec.key], rep) for spec, rep in planned]
         for spec, rep in jobs[:2]:  # pre-warm half through the per-run path
             svc.run(spec, rep, cache_dir=tmp_path)
         before = service.cache_stats()
-        bulk = svc.run_many(jobs, cache_dir=tmp_path)
+        bulk = self._bulk(executor, planned)
         stats = _delta(before, service.cache_stats())
         assert stats["hit"] == 2 and stats["miss"] == 2
         per_run = [svc.run(spec, rep, cache_dir=tmp_path) for spec, rep in jobs]
