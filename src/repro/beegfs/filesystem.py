@@ -142,9 +142,6 @@ class BeeGFS:
         self.namespace.set_config(path, new)
         return new
 
-    def get_pattern(self, path: str) -> DirectoryConfig:
-        return self.namespace.get_config(path)
-
     def create_file(
         self, path: str, rng: np.random.Generator | None = None, strict: bool = False
     ) -> FileInode:

@@ -121,11 +121,6 @@ class ManagementService:
     def set_state(self, target_id: int, state: TargetState) -> None:
         self.target(target_id).state = state
 
-    def set_server_state(self, server: str, state: TargetState) -> None:
-        """Transition every target of a server at once (server outage)."""
-        for info in self.targets(server=server):
-            info.state = state
-
     def consume(self, target_id: int, nbytes: int) -> None:
         """Account ``nbytes`` written to a target (negative frees space)."""
         info = self.target(target_id)

@@ -83,10 +83,6 @@ class ChunkExtent:
         if self.chunk_offset < 0 or self.file_offset < 0 or self.chunk_index < 0:
             raise StripingError("negative extent coordinates")
 
-    @property
-    def end_file_offset(self) -> int:
-        return self.file_offset + self.length
-
 
 @dataclass(frozen=True)
 class StripePattern:

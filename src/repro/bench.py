@@ -159,27 +159,31 @@ def bench_solver(quick: bool = False) -> dict[str, dict[str, Any]]:
 def bench_fluid(quick: bool = False) -> dict[str, dict[str, Any]]:
     """One paper-scale fluid-engine run: ms/run and segment throughput.
 
-    Like :func:`bench_solver`, cheap enough to run at full fidelity in
-    quick mode.
+    The run goes through the simulation service with the cache off, so
+    it always executes.  Like :func:`bench_solver`, cheap enough to run
+    at full fidelity in quick mode.
     """
-    from .experiments.common import StandardExecutor
     from .methodology.plan import ExperimentSpec
+    from .scenario.compile import compile_scenario
+    from .service import get_service
     from .telemetry.bus import session
 
-    spec = ExperimentSpec(exp_id="bench", scenario="scenario1", factors=_BENCH_FACTORS)
-    executor = StandardExecutor(seed=7)
-    executor(spec, 0)  # warm engine + caches out of the timed region
+    spec = compile_scenario(
+        ExperimentSpec(exp_id="bench", scenario="scenario1", factors=_BENCH_FACTORS), seed=7
+    )
+    svc = get_service()
+    svc.run(spec, 0, cache=False)  # warm engine + caches out of the timed region
     runs = 12
     batches = 3
 
     with session(ring=4) as bus:
-        executor(spec, 1)
+        svc.run(spec, 1, cache=False)
         segments_per_run = bus.metrics.counter("engine.segments_solved", engine="fluid").value
 
     def timed() -> float:
         start = time.perf_counter()
         for rep in range(runs):
-            executor(spec, rep + 2)
+            svc.run(spec, rep + 2, cache=False)
         return (time.perf_counter() - start) / runs
 
     per_run = _best_of(timed, batches)

@@ -696,9 +696,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     resume=args.resume,
                     validation=args.verify if args.verify != "off" else None,
                     workers=args.workers if args.workers > 1 else None,
-                    cache=False if args.no_cache else None,
-                    cache_dir=args.cache_dir,
-                    cache_remote=args.cache_remote,
                 ):
                     output = info.run(progress=progress, **kwargs)
                 print(output.figure)

@@ -422,18 +422,12 @@ def remote_run_specs(
     """Run a sweep remotely under the paper's exact protocol.
 
     Mirrors :func:`repro.experiments.common.run_specs` — same protocol
-    derivation, same plan seeding, same scenario lowering — with a
-    :class:`RemoteExecutor` in place of the local service executor, so
-    the resulting record store is byte-identical to a local campaign
-    over the same specs.
+    (:meth:`ProtocolConfig.for_repetitions`), same plan seeding, same
+    scenario lowering — with a :class:`RemoteExecutor` in place of the
+    local service executor, so the resulting record store is
+    byte-identical to a local campaign over the same specs.
     """
-    protocol = ProtocolConfig(
-        repetitions=repetitions,
-        block_size=min(10, max(1, repetitions)),
-        min_wait_s=60.0 if repetitions >= 20 else 0.0,
-        max_wait_s=1800.0 if repetitions >= 20 else 0.0,
-    )
-    plan = ExperimentPlan.build(specs, protocol, seed=seed)
+    plan = ExperimentPlan.build(specs, ProtocolConfig.for_repetitions(repetitions), seed=seed)
     scenarios = {
         spec.key: compile_scenario(
             spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder

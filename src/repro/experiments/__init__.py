@@ -13,12 +13,11 @@ Default repetition counts are the paper's 100; tests and benchmarks
 pass reduced counts.
 """
 
-from .common import ExperimentOutput, StandardExecutor, protocol_options, run_specs
+from .common import ExperimentOutput, protocol_options, run_specs
 from .registry import EXPERIMENTS, ExperimentInfo, get_experiment, list_experiments
 
 __all__ = [
     "ExperimentOutput",
-    "StandardExecutor",
     "run_specs",
     "protocol_options",
     "EXPERIMENTS",

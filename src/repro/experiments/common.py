@@ -9,23 +9,22 @@ campaign through the process-wide
 cache included).  The factor vocabulary itself is documented on
 :func:`repro.scenario.compile.default_apps_builder`.
 
-:class:`StandardExecutor` remains for callers that need direct engine
-access (the ``repro bench`` fluid-engine timings); it executes engines
-directly and never touches the cache.
+Two campaign decisions live elsewhere and are only read here: the
+protocol a repetition count runs under
+(:meth:`~repro.methodology.protocol.ProtocolConfig.for_repetitions`,
+shared with ``remote_run_specs``) and the ambient cache policy
+(:func:`repro.service.cache_config`).
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from ..calibration.plafrim import Calibration, scenario_by_name
 from ..engine.base import EngineOptions, ValidationLevel
-from ..engine.fluid_runner import FluidEngine
-from ..engine.result import RunResult
 from ..errors import ExperimentError
 from ..methodology.plan import ExperimentPlan, ExperimentSpec
 from ..methodology.protocol import ProtocolConfig
@@ -33,13 +32,10 @@ from ..methodology.parallel import ParallelProtocolRunner
 from ..methodology.records import RecordStore
 from ..methodology.runner import ProtocolRunner
 from ..scenario.compile import compile_scenario, default_apps_builder
-from ..service import ServiceExecutor
-from ..telemetry.profiling import get_profiler
-from ..topology.graph import Topology
+from ..service import ServiceExecutor, resolve_cache_policy
 
 __all__ = [
     "ExperimentOutput",
-    "StandardExecutor",
     "sweep",
     "run_specs",
     "protocol_options",
@@ -103,60 +99,6 @@ def sweep(
     return specs
 
 
-@dataclass
-class StandardExecutor:
-    """A direct-engine executor (no service, no cache).
-
-    Used by benchmarks that must always execute.  Engines (and their
-    platform topologies) are cached per configuration key so a
-    100-repetition protocol pays construction once.
-    """
-
-    seed: int = 0
-    options: EngineOptions = field(default_factory=EngineOptions)
-    engine_cls: type = FluidEngine
-    max_nodes: int = 32
-    _calibrations: dict[str, Calibration] = field(default_factory=dict, repr=False)
-    _topologies: dict[str, Topology] = field(default_factory=dict, repr=False)
-    _engines: dict[str, Any] = field(default_factory=dict, repr=False)
-
-    def calibration(self, scenario: str) -> Calibration:
-        if scenario not in self._calibrations:
-            self._calibrations[scenario] = scenario_by_name(scenario)
-        return self._calibrations[scenario]
-
-    def topology(self, scenario: str) -> Topology:
-        if scenario not in self._topologies:
-            self._topologies[scenario] = self.calibration(scenario).platform(self.max_nodes)
-        return self._topologies[scenario]
-
-    def engine(self, spec: ExperimentSpec):
-        key = spec.key
-        if key not in self._engines:
-            with get_profiler().span("engine.build"):
-                calibration = self.calibration(spec.scenario)
-                deployment_kwargs: dict[str, Any] = {
-                    "stripe_count": int(spec.factors.get("stripe_count", 4)),
-                }
-                if spec.factors.get("chooser"):
-                    deployment_kwargs["chooser"] = str(spec.factors["chooser"])
-                if spec.factors.get("chunk_kib"):
-                    deployment_kwargs["chunk_size"] = int(spec.factors["chunk_kib"]) * 1024
-                self._engines[key] = self.engine_cls(
-                    calibration,
-                    self.topology(spec.scenario),
-                    calibration.deployment(**deployment_kwargs),
-                    seed=self.seed,
-                    options=self.options,
-                )
-        return self._engines[key]
-
-    def __call__(self, spec: ExperimentSpec, rep: int) -> RunResult:
-        engine = self.engine(spec)
-        apps = default_apps_builder(self.topology(spec.scenario), spec.factors)
-        return engine.run(apps, rep=rep)
-
-
 # Campaign-resilience knobs for every run_specs() call in the active
 # context.  The CLI sets these via protocol_options() so experiment
 # modules need no per-module plumbing for --on-error / --checkpoint.
@@ -172,9 +114,6 @@ def protocol_options(
     validation: str | ValidationLevel | None = None,
     on_violation: str | None = None,
     workers: int | None = None,
-    cache: bool | None = None,
-    cache_dir: str | Path | None = None,
-    cache_remote: str | None = None,
 ) -> Iterator[None]:
     """Override the runner policy of every ``run_specs`` call inside.
 
@@ -190,9 +129,6 @@ def protocol_options(
         ("validation", validation),
         ("on_violation", on_violation),
         ("workers", workers),
-        ("cache", cache),
-        ("cache_dir", cache_dir),
-        ("cache_remote", cache_remote),
     ):
         if value is not None:
             _RUNNER_OVERRIDES[name] = value
@@ -218,7 +154,7 @@ def run_specs(
     validation: str | ValidationLevel | None = None,
     on_violation: str = "skip",
     workers: int | None = None,
-    cache: bool = True,
+    cache: bool | None = None,
     cache_dir: str | Path | None = None,
     cache_remote: str | None = None,
     stats_out: dict[str, Any] | None = None,
@@ -230,7 +166,9 @@ def run_specs(
     previously-simulated (configuration, rep) pairs replay from the
     content-addressed cache; ``cache=False`` (or a ``--no-cache``
     campaign) forces execution, and runs with ``validation`` enabled
-    always execute.
+    always execute.  ``cache``/``cache_dir``/``cache_remote`` left at
+    ``None`` take the ambient :func:`repro.service.cache_config` policy,
+    resolved once here so every worker sees it under any start method.
 
     ``on_error``/``checkpoint``/``resume``/``checkpoint_every`` configure
     the :class:`~repro.methodology.runner.ProtocolRunner`'s resilience;
@@ -248,18 +186,10 @@ def run_specs(
     validation = _RUNNER_OVERRIDES.get("validation", validation)
     on_violation = _RUNNER_OVERRIDES.get("on_violation", on_violation)
     workers = _RUNNER_OVERRIDES.get("workers", workers)
-    cache = _RUNNER_OVERRIDES.get("cache", cache)
-    cache_dir = _RUNNER_OVERRIDES.get("cache_dir", cache_dir)
-    cache_remote = _RUNNER_OVERRIDES.get("cache_remote", cache_remote)
+    cache, cache_dir, cache_remote = resolve_cache_policy(cache, cache_dir, cache_remote)
     if validation is not None:
         options = replace(options, validation=ValidationLevel.parse(validation))
-    protocol = ProtocolConfig(
-        repetitions=repetitions,
-        block_size=min(10, max(1, repetitions)),
-        min_wait_s=60.0 if repetitions >= 20 else 0.0,
-        max_wait_s=1800.0 if repetitions >= 20 else 0.0,
-    )
-    plan = ExperimentPlan.build(specs, protocol, seed=seed)
+    plan = ExperimentPlan.build(specs, ProtocolConfig.for_repetitions(repetitions), seed=seed)
     scenarios = {
         spec.key: compile_scenario(
             spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
@@ -268,9 +198,9 @@ def run_specs(
     }
     executor = ServiceExecutor(
         scenarios=scenarios,
-        cache=bool(cache),
-        cache_dir=None if cache_dir is None else str(cache_dir),
-        cache_remote=None if cache_remote is None else str(cache_remote),
+        cache=cache,
+        cache_dir=cache_dir,
+        cache_remote=cache_remote,
         seed=seed,
     )
     if workers is not None and workers > 1:

@@ -31,12 +31,18 @@ class ProtocolConfig:
         if not 0 <= self.min_wait_s <= self.max_wait_s:
             raise ConfigError("need 0 <= min_wait_s <= max_wait_s")
 
-    def quick(self, repetitions: int = 10) -> "ProtocolConfig":
-        """A reduced copy for tests and smoke runs."""
-        return ProtocolConfig(
+    @classmethod
+    def for_repetitions(cls, repetitions: int) -> "ProtocolConfig":
+        """The protocol a campaign of ``repetitions`` runs under.
+
+        Blocks of up to 10 repetitions, in random order; the paper's
+        1-30 minute waits only from 20 repetitions on (shorter campaigns
+        are smoke runs, not measurement campaigns).
+        """
+        waits = repetitions >= 20
+        return cls(
             repetitions=repetitions,
-            block_size=min(self.block_size, max(1, repetitions // 2)),
-            shuffle_blocks=self.shuffle_blocks,
-            min_wait_s=0.0,
-            max_wait_s=0.0,
+            block_size=min(10, max(1, repetitions)),
+            min_wait_s=60.0 if waits else 0.0,
+            max_wait_s=1800.0 if waits else 0.0,
         )

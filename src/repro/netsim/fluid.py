@@ -273,9 +273,6 @@ class FluidSimulation:
             capacity = ConstantCapacity(float(capacity))
         self._providers[resource_id] = capacity
 
-    def has_resource(self, resource_id: str) -> bool:
-        return resource_id in self._providers
-
     def add_flow(self, flow: FluidFlow) -> None:
         missing = [r for r in flow.resources if r not in self._providers]
         if missing:

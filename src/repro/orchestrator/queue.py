@@ -92,10 +92,6 @@ def _owner_parts(owner: str | None) -> tuple[int | None, str | None, int | None]
         return None, host, start
 
 
-def _owner_pid(owner: str | None) -> int | None:
-    return _owner_parts(owner)[0]
-
-
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

@@ -521,8 +521,6 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             job = self._jobs.get(job_id)
             if job is not None:
                 # Idempotent resubmission: attach to the existing job.
-                if isinstance(session_id, str) and session_id in self.sessions.sessions:
-                    self.sessions.sessions[session_id].jobs.add(job_id)
                 state = job.status or ("queued" if not job.done.is_set() else "done")
                 return message(
                     "accepted",
@@ -542,8 +540,6 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
                 job = _Job(scenario.fingerprint, rep, scenario, trace=trace)
                 job.enqueued_at = time.monotonic()
                 self._jobs[job_id] = job
-                if isinstance(session_id, str) and session_id in self.sessions.sessions:
-                    self.sessions.sessions[session_id].jobs.add(job_id)
                 self._work.append(job)
                 self._work_cv.notify()
         self.slo.observe_admit(shed=not decision.admitted)

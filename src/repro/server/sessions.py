@@ -20,7 +20,7 @@ registry stays deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..orchestrator.journal import Journal, read_records
@@ -30,11 +30,10 @@ __all__ = ["Session", "SessionRegistry"]
 
 @dataclass
 class Session:
-    """One client's lease and submitted-job set."""
+    """One client's lease."""
 
     session_id: str
     lease_expires: float
-    jobs: set = field(default_factory=set)
 
     def live(self, now: float) -> bool:
         return now < self.lease_expires

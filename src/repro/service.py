@@ -2,9 +2,10 @@
 
 Every execution path — :class:`~repro.methodology.runner.ProtocolRunner`
 at any worker count (through the executors built by
-:func:`repro.experiments.common.run_specs`), the CLI, and the bench
-workloads — asks :class:`SimulationService` for ``run(spec, rep)``,
-where ``spec`` is a canonical :class:`~repro.scenario.ScenarioSpec`.
+:func:`repro.experiments.common.run_specs`), the CLI, the server, the
+bench workloads and the verify cases — asks :class:`SimulationService`
+for ``run(spec, rep)``, where ``spec`` is a canonical
+:class:`~repro.scenario.ScenarioSpec`.
 The service owns:
 
 * the **builder registry**: how a spec's ``builder`` name turns into a
@@ -12,10 +13,10 @@ The service owns:
   (the paper's PlaFRIM deployment) is built in; experiment modules with
   bespoke platforms (e.g. the fig-10 scale-out sweep) register theirs
   via :func:`register_builder`;
-* an **engine context cache** keyed on the spec fingerprint, so a
-  100-repetition campaign pays engine construction once — the role the
-  per-campaign ``StandardExecutor`` caches used to play, now shared
-  process-wide;
+* an **engine context cache** keyed on the spec fingerprint, shared
+  process-wide, so a 100-repetition campaign pays engine construction
+  once and every later rep (a replay check's second run included) runs
+  on the context the first one built;
 * the **content-addressed result cache**: a tiered composite
   (:mod:`repro.cache`) keyed by ``(spec fingerprint, model revision,
   engine, rep)`` — an in-process LRU hot tier, the durable on-disk
@@ -68,6 +69,7 @@ __all__ = [
     "register_builder",
     "default_cache_dir",
     "cache_config",
+    "resolve_cache_policy",
     "cache_stats",
     "reset_cache_stats",
     "add_cache_stats",
@@ -185,10 +187,10 @@ register_builder("standard", _build_standard)
 # composite, GC, quarantine); the service owns the policy, the tally
 # and the persistent tier instances.
 
-# Ambient cache policy for service.run() calls that pass None: lets the
-# CLI's --no-cache/--cache-dir/--cache-remote reach experiments that
-# call the service directly (timeline figures) without per-module
-# plumbing.
+# The ambient cache policy, for every service call and run_specs
+# campaign that passes None: the CLI's --no-cache/--cache-dir/
+# --cache-remote set it here, and only here, so experiments reach it
+# without per-module plumbing.
 _CACHE_DEFAULTS: dict[str, Any] = {
     "cache": True,
     "cache_dir": None,
@@ -215,6 +217,19 @@ def cache_config(
     finally:
         _CACHE_DEFAULTS.clear()
         _CACHE_DEFAULTS.update(previous)
+
+
+def resolve_cache_policy(
+    cache: bool | None,
+    cache_dir: str | Path | None,
+    cache_remote: str | None,
+) -> tuple[bool, str | None, str | None]:
+    """The cache policy with each ``None`` filled from :func:`cache_config`."""
+    return (
+        bool(_CACHE_DEFAULTS["cache"] if cache is None else cache),
+        _CACHE_DEFAULTS["cache_dir"] if cache_dir is None else str(cache_dir),
+        _CACHE_DEFAULTS["cache_remote"] if cache_remote is None else str(cache_remote),
+    )
 
 
 class _RunCapture(RingBufferSink):
@@ -361,12 +376,7 @@ class SimulationService:
         ``bypassed`` (a validated spec) or ``degraded`` (the breaker is
         open).
         """
-        if cache is None:
-            cache = bool(_CACHE_DEFAULTS["cache"])
-        if cache_dir is None:
-            cache_dir = _CACHE_DEFAULTS["cache_dir"]
-        if cache_remote is None:
-            cache_remote = _CACHE_DEFAULTS["cache_remote"]
+        cache, cache_dir, cache_remote = resolve_cache_policy(cache, cache_dir, cache_remote)
         use_cache = cache and spec.options.validation is ValidationLevel.OFF
         if use_cache and not self.breaker.allow():
             _count("degraded")
@@ -506,12 +516,7 @@ class SimulationService:
         authoritative per-run path, and nothing is probed while the
         breaker is not closed.
         """
-        if cache is None:
-            cache = bool(_CACHE_DEFAULTS["cache"])
-        if cache_dir is None:
-            cache_dir = _CACHE_DEFAULTS["cache_dir"]
-        if cache_remote is None:
-            cache_remote = _CACHE_DEFAULTS["cache_remote"]
+        cache, cache_dir, cache_remote = resolve_cache_policy(cache, cache_dir, cache_remote)
         out: dict[tuple[str, str, int], dict[str, Any]] = {}
         if not cache or self.breaker.state != "closed":
             return out

@@ -71,27 +71,6 @@ class SanRampSpec:
     def capacity_at(self, depth: float) -> float:
         return self.base_mib_s * self.ramp(depth)
 
-    def depth_for_capacity(self, mib_s: float) -> float:
-        """Smallest depth whose capacity reaches ``mib_s`` (bisection).
-
-        Used to predict plateau positions: the node count at which a
-        stripe count's storage-side ceiling gets saturated.
-        """
-        if not 0 < mib_s < self.base_mib_s:
-            raise StorageError(f"capacity {mib_s} outside (0, {self.base_mib_s})")
-        lo, hi = 0.0, 1.0
-        while self.capacity_at(hi) < mib_s:
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover - spec validation prevents this
-                raise StorageError("ramp never reaches requested capacity")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.capacity_at(mid) < mib_s:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
 
 @dataclass(frozen=True)
 class SanModel:

@@ -15,8 +15,8 @@ only as trustworthy as every individual simulated point):
 
 This ``__init__`` deliberately imports only the leaf modules (levels
 and invariant checkers): the engines import them at module load, while
-:mod:`.conformance`/:mod:`.replay`/:mod:`.suite` import the engines —
-eager re-export here would be a cycle.  The heavier modules are lazily
+:mod:`.conformance`/:mod:`.replay`/:mod:`.suite` import the simulation
+service and the engine results — eager re-export here would be a cycle.  The heavier modules are lazily
 resolved through ``__getattr__``.
 """
 

@@ -8,6 +8,13 @@ configurations small enough for the DES, their bandwidth predictions
 must agree within a *declared* tolerance, and each engine individually
 must reproduce its own pinned golden numbers exactly.
 
+Each case is lowered to one :class:`~repro.scenario.ScenarioSpec` per
+engine, the two differing only in the engine: the case's workload on
+the 8-node platform, noise and metadata overhead off, its fault
+schedule, and the sweep's validation level.  Both run cache-off through
+the :class:`~repro.service.SimulationService`, the path every campaign
+run takes.
+
 Two layers of defence, with different purposes:
 
 * **cross-engine tolerance** (``RunSpec.tolerance``, rel.) catches
@@ -29,17 +36,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..calibration.plafrim import scenario_by_name
 from ..engine.base import EngineOptions
-from ..engine.des_runner import DESEngine
-from ..engine.fluid_runner import FluidEngine
 from ..errors import ConfigError, GoldenMismatchError
 from ..faults.schedule import FaultSchedule, degraded_target
-from ..units import MiB
-from ..workload.generator import single_application
+from ..methodology.plan import ExperimentSpec
+from ..scenario.compile import compile_scenario
+from ..service import get_service
 from .level import ValidationLevel
 
 __all__ = [
@@ -194,53 +199,33 @@ def default_golden_path() -> Path:
     return Path(__file__).resolve().parents[3] / "tests" / "golden" / "conformance.json"
 
 
-@dataclass
-class _EngineCache:
-    """Calibrations/topologies/engines shared across cases of one sweep."""
-
-    level: ValidationLevel = ValidationLevel.OFF
-    _scenarios: dict = field(default_factory=dict)
-
-    def scenario(self, name: str):
-        if name not in self._scenarios:
-            calib = scenario_by_name(name)
-            self._scenarios[name] = (calib, calib.platform(8))
-        return self._scenarios[name]
-
-    def engines(self, spec: RunSpec) -> tuple[FluidEngine, DESEngine]:
-        calib, topo = self.scenario(spec.scenario)
-        kwargs: dict = {"stripe_count": spec.stripe_count}
-        if spec.chooser:
-            kwargs["chooser"] = spec.chooser
-        options = EngineOptions(
-            noise_enabled=False,
-            include_metadata_overhead=False,
-            validation=self.level,
-            fault_schedule=spec.fault_schedule(),
-        )
-        deployment = calib.deployment(**kwargs)
-        return (
-            FluidEngine(calib, topo, deployment, seed=0, options=options),
-            DESEngine(calib, topo, deployment, seed=0, options=options),
-        )
-
-
-def _run_case(spec: RunSpec, cache: _EngineCache) -> tuple[float, float]:
-    fluid, des = cache.engines(spec)
-    _, topo = cache.scenario(spec.scenario)
-
-    def app():
-        return single_application(
-            topo,
-            spec.num_nodes,
-            ppn=spec.ppn,
-            total_bytes=spec.total_mib * MiB,
-            transfer_size=spec.transfer_mib * MiB,
-        )
-
-    bw_fluid = fluid.run([app()], rep=0).single.bandwidth_mib_s
-    bw_des = des.run([app()], rep=0).single.bandwidth_mib_s
-    return bw_fluid, bw_des
+def _bandwidths(spec: RunSpec, level: ValidationLevel) -> tuple[float, float]:
+    """The case's fluid and DES bandwidths, each run once cache-off."""
+    factors = {
+        "num_nodes": spec.num_nodes,
+        "ppn": spec.ppn,
+        "stripe_count": spec.stripe_count,
+        "total_gib": spec.total_mib / 1024,
+        "transfer_mib": spec.transfer_mib,
+    }
+    if spec.chooser:
+        factors["chooser"] = spec.chooser
+    options = EngineOptions(
+        noise_enabled=False,
+        include_metadata_overhead=False,
+        validation=level,
+        fault_schedule=spec.fault_schedule(),
+    )
+    planned = ExperimentSpec("conformance", spec.scenario, factors)
+    fluid, des = (
+        compile_scenario(planned, options=options, max_nodes=8, engine=engine)
+        for engine in ("fluid", "des")
+    )
+    service = get_service()
+    return (
+        service.run(fluid, 0, cache=False).single.bandwidth_mib_s,
+        service.run(des, 0, cache=False).single.bandwidth_mib_s,
+    )
 
 
 def _load_golden(path: Path) -> dict:
@@ -284,12 +269,11 @@ def run_conformance(
     """
     golden_path = golden_path if golden_path is not None else default_golden_path()
     golden = {} if update_golden else _load_golden(golden_path)
-    cache = _EngineCache(level=level)
     cases = []
     observed: dict[str, dict[str, float]] = {}
     missing = []
     for spec in specs:
-        bw_fluid, bw_des = _run_case(spec, cache)
+        bw_fluid, bw_des = _bandwidths(spec, level)
         rel_diff = abs(bw_fluid - bw_des) / max(abs(bw_des), 1e-12)
         agrees = rel_diff <= spec.tolerance
         golden_errors = _golden_errors(spec.name, golden, bw_fluid, bw_des)

@@ -5,8 +5,7 @@ a (seed, rep) pair fully determines a run: same seed, same bytes, same
 timings — including under fault schedules, retry storms and noise.  The
 engines implement this through the named :class:`~repro.rng.SeedTree`;
 this module *proves* it per configuration by executing the same run
-twice through independently-constructed engines and comparing
-fingerprints of everything the run produced.
+twice and comparing fingerprints of everything the run produced.
 
 The fingerprint covers every per-application field (start/end times,
 byte volumes, targets, placements), the segment count, the retry and
@@ -90,11 +89,13 @@ def check_replay(
 ) -> str:
     """Execute ``factory`` ``runs`` times; all results must be identical.
 
-    ``factory`` must construct a *fresh* engine per call (replay through
-    a shared engine would also pass through shared mutable state, which
-    is exactly what this check is meant to rule out).  Returns the
-    common fingerprint; raises :class:`ReplayDivergenceError` naming the
-    first diverging field otherwise.
+    ``factory`` may run on one engine throughout, as every campaign rep
+    after the first does: state a run leaves behind then shows up as a
+    divergence of the next.  That two independently constructed engines
+    agree is pinned elsewhere (the engine-fingerprint golden and the
+    serial == parallel campaigns).  Returns the common fingerprint;
+    raises :class:`ReplayDivergenceError` naming the first diverging
+    field otherwise.
     """
     if runs < 2:
         raise ValueError("check_replay needs at least 2 runs to compare")

@@ -10,7 +10,11 @@ Ties the three guardrail layers into one runnable gate:
   :mod:`repro.verify.conformance`, including golden pinning;
 * **replay** — same-seed determinism proofs of
   :mod:`repro.verify.replay`, covering noise, fault schedules and
-  retry/backoff.
+  retry/backoff.  Each case is a :class:`~repro.scenario.ScenarioSpec`
+  run cache-off through the simulation service, so its second run
+  reuses the service's engine context, as every campaign rep after the
+  first does; engine construction itself is pinned by the
+  engine-fingerprint golden and by the serial == parallel checks.
 
 ``inject`` seeds a deliberate violation ("over-capacity" and
 "byte-loss" corrupt the invariant checkers' view of otherwise-correct
@@ -26,13 +30,12 @@ from pathlib import Path
 from typing import Callable
 
 from ..engine.base import EngineOptions
-from ..engine.des_runner import DESEngine
-from ..engine.fluid_runner import FluidEngine
 from ..errors import ConfigError, ReplayDivergenceError
 from ..faults.schedule import FaultSchedule, target_outage
+from ..methodology.plan import ExperimentSpec
+from ..scenario.compile import compile_scenario
+from ..service import get_service
 from ..storage.client_model import RetryPolicy
-from ..units import MiB
-from ..workload.generator import single_application
 from .conformance import CONFORMANCE_SPECS, ConformanceReport, run_conformance
 from .invariants import forced_injection
 from .level import ValidationLevel
@@ -167,57 +170,42 @@ def run_invariants_suite(
 
 
 def _replay_cases(seed: int):
-    """Named engine factories replay must hold for.
+    """Named run factories replay must hold for.
 
-    Each case returns a *fresh* engine per call and covers a distinct
-    determinism hazard: noise draws (fluid), request interleaving (DES)
-    and the retry/backoff/abandon paths under a mid-run target outage.
+    Each case covers a distinct determinism hazard: noise draws (fluid),
+    request interleaving (DES) and the retry/backoff/abandon paths under
+    a mid-run target outage.  All three write 256 MiB from 4 nodes x 4
+    ppn at stripe 4 on the 8-node scenario-1 platform.
     """
-    from ..calibration.plafrim import scenario1
-
-    calib = scenario1()
-    topo = calib.platform(8)
-
-    def app():
-        return single_application(topo, 4, ppn=4, total_bytes=256 * MiB)
-
+    workload = {"num_nodes": 4, "ppn": 4, "total_gib": 0.25, "stripe_count": 4}
     outage = FaultSchedule([target_outage(201, start_s=0.05, duration_s=0.3)])
-
-    def fluid_noisy() -> object:
-        engine = FluidEngine(
-            calib, topo, calib.deployment(stripe_count=4), seed=seed, options=EngineOptions()
-        )
-        return engine.run([app()], rep=1)
-
-    def fluid_faulted() -> object:
-        engine = FluidEngine(
-            calib,
-            topo,
-            calib.deployment(stripe_count=4, chooser="fixed:101,201,102,202"),
-            seed=seed,
-            options=EngineOptions(
+    cases = (
+        ("fluid+noise", workload, EngineOptions(), "fluid", 1),
+        (
+            "fluid+outage+retry",
+            {**workload, "chooser": "fixed:101,201,102,202"},
+            EngineOptions(
                 noise_enabled=False,
                 fault_schedule=outage,
                 retry=RetryPolicy(timeout_s=0.1, max_retries=8),
             ),
-        )
-        return engine.run([app()], rep=0)
-
-    def des_quiet() -> object:
-        engine = DESEngine(
-            calib,
-            topo,
-            calib.deployment(stripe_count=4),
-            seed=seed,
-            options=EngineOptions(noise_enabled=False),
-        )
-        return engine.run([app()], rep=0)
-
-    return (
-        ("fluid+noise", fluid_noisy),
-        ("fluid+outage+retry", fluid_faulted),
-        ("des", des_quiet),
+            "fluid",
+            0,
+        ),
+        ("des", workload, EngineOptions(noise_enabled=False), "des", 0),
     )
+
+    def factory(factors, options, engine, rep):
+        scenario = compile_scenario(
+            ExperimentSpec("replay", "scenario1", factors),
+            seed=seed,
+            options=options,
+            max_nodes=8,
+            engine=engine,
+        )
+        return lambda: get_service().run(scenario, rep, cache=False)
+
+    return tuple((name, factory(*case)) for name, *case in cases)
 
 
 def run_replay_suite(

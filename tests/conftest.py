@@ -18,6 +18,23 @@ from repro.engine.fluid_runner import FluidEngine
 settings.register_profile("verify", derandomize=True, deadline=None, max_examples=300)
 
 
+@pytest.hookimpl(trylast=True)
+def pytest_sessionstart(session):
+    """Build Hypothesis's Unicode tables before any test draws text.
+
+    A checkout without ``.hypothesis/unicode_data`` builds the category
+    map and the UTF-8 codec table on the first ``st.text()`` draw, which
+    scans every code point (about 2 s) and trips the ``too_slow`` health
+    check inside whichever test draws first.  Warmed here, after
+    Hypothesis's own ``pytest_sessionstart`` ends its start-up phase (a
+    warm-up before that raises ``HypothesisSideeffectWarning``).
+    """
+    from hypothesis.internal.charmap import charmap, intervals_from_codec
+
+    charmap()
+    intervals_from_codec("utf-8")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_cache(tmp_path_factory):
     """Point the result cache at a per-session tmp dir, never ~/.cache."""

@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.common import StandardExecutor, default_apps_builder
+from repro.experiments.common import default_apps_builder
 from repro.methodology.plan import ExperimentSpec
+from repro.scenario.compile import compile_scenario
+from repro.service import ServiceExecutor, SimulationService
 from repro.topology.builders import plafrim_omnipath
 from repro.units import GiB
 
@@ -57,26 +59,34 @@ class TestDefaultAppsBuilder:
             default_apps_builder(topo, {"pattern": "zigzag"})
 
 
-class TestStandardExecutor:
-    def test_caches_engines_per_spec(self):
-        executor = StandardExecutor(seed=1)
+class TestServiceExecution:
+    """Planned specs compile once and run cache-off through the service."""
+
+    @staticmethod
+    def _executor(spec):
+        return ServiceExecutor(scenarios={spec.key: compile_scenario(spec, seed=1)}, cache=False)
+
+    def test_one_context_per_spec(self):
         spec = ExperimentSpec("e", "scenario1", {"stripe_count": 2, "num_nodes": 2, "total_gib": 1})
-        assert executor.engine(spec) is executor.engine(spec)
+        other = ExperimentSpec("e", "scenario1", {"stripe_count": 4, "num_nodes": 2, "total_gib": 1})
+        service = SimulationService()
+        context = service.context(compile_scenario(spec, seed=1))
+        assert service.context(compile_scenario(spec, seed=1)) is context
+        assert service.context(compile_scenario(other, seed=1)) is not context
 
     def test_executes_and_varies_with_rep(self):
-        executor = StandardExecutor(seed=1)
         spec = ExperimentSpec("e", "scenario2", {"stripe_count": 4, "num_nodes": 2, "total_gib": 2})
+        executor = self._executor(spec)
         a = executor(spec, 0).single.bandwidth_mib_s
         b = executor(spec, 1).single.bandwidth_mib_s
         assert a != b
 
     def test_chooser_factor_respected(self):
-        executor = StandardExecutor(seed=1)
         spec = ExperimentSpec(
             "e",
             "scenario1",
             {"stripe_count": 2, "chooser": "fixed:201,202", "num_nodes": 2, "total_gib": 1},
         )
-        result = executor(spec, 0)
+        result = self._executor(spec)(spec, 0)
         assert result.single.targets == (201, 202)
         assert result.single.placement == (0, 2)

@@ -70,10 +70,14 @@ class TestPlanBuild:
         assert all(60.0 <= w <= 1800.0 for w in plan.waits_s)
         assert plan.total_wait_s() > 0
 
-    def test_quick_protocol_no_waits(self):
-        plan = ExperimentPlan.build(specs(1), ProtocolConfig().quick(6), seed=0)
+    def test_protocol_for_repetitions(self):
+        plan = ExperimentPlan.build(specs(1), ProtocolConfig.for_repetitions(6), seed=0)
         assert plan.total_wait_s() == 0.0
         assert plan.num_runs == 6
+        plan = ExperimentPlan.build(specs(2), ProtocolConfig.for_repetitions(20), seed=0)
+        assert plan.total_wait_s() > 0
+        assert all(60.0 <= w <= 1800.0 for w in plan.waits_s)
+        assert [len(block) for block in plan.blocks] == [10] * 4
 
     def test_duplicate_specs_rejected(self):
         s = specs(1)

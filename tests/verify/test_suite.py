@@ -106,3 +106,52 @@ class TestSuite:
         assert "pass: something" in text
         assert "FAIL: other thing" in text
         assert report.exit_code() == 1
+
+
+class TestReplayFingerprints:
+    """The replay cases' full fingerprints, pinned.
+
+    Replay compares a case with itself, so a case that stops simulating
+    what it names (a lost fault schedule, another seed, the wrong
+    engine) would still replay and pass; these values would not.
+    """
+
+    SEED0 = {
+        "fluid+noise": "f0149fb88bb1838f8cd4acd63e6eea25e380701d2e380aa958729b72bb6e1382",
+        "fluid+outage+retry": "6ae7babf6c3bbc49a674f7fa391238cf7ea9444d75ff154ac40ac5a0d37e9263",
+        "des": "b85c6fd25851a938c4a8748bfb55499546840214240e4bb4e9bb490adc952e93",
+    }
+    SEED1 = {
+        "fluid+noise": "5b4b87a0a90219bcfe80e4f07e84fec1d3b8e79ca4156a0d8dbd79b0167a94b1",
+        "fluid+outage+retry": "6ae7babf6c3bbc49a674f7fa391238cf7ea9444d75ff154ac40ac5a0d37e9263",
+        "des": "9c112470e2fba9afbea0913b24f112ba5fb79c46f56d2561f3f8bcd6cb69d4c8",
+    }
+
+    @staticmethod
+    def _fingerprints(monkeypatch, seed):
+        from repro.verify import suite
+
+        seen = {}
+        check_replay = suite.check_replay
+
+        def recording(factory, runs=2, context=""):
+            seen[context] = check_replay(factory, runs=runs, context=context)
+            return seen[context]
+
+        monkeypatch.setattr(suite, "check_replay", recording)
+        report = SuiteReport(suite="replay", level=ValidationLevel.PARANOID)
+        suite.run_replay_suite(report, seed=seed)
+        assert report.ok and not report.failed
+        assert [line.split("fingerprint ")[1][:12] for line in report.passed] == [
+            fingerprint[:12] for fingerprint in seen.values()
+        ]
+        return seen
+
+    def test_seed_0_fingerprints(self, monkeypatch):
+        assert self._fingerprints(monkeypatch, 0) == self.SEED0
+
+    def test_seed_1_moves_the_seeded_cases(self, monkeypatch):
+        seen = self._fingerprints(monkeypatch, 1)
+        assert seen == self.SEED1
+        assert seen["fluid+noise"] != self.SEED0["fluid+noise"]
+        assert seen["des"] != self.SEED0["des"]
