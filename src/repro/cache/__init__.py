@@ -9,10 +9,11 @@ interface (``lookup / lookup_many / store_entry / stats / gc``):
 * :class:`MemoryTier` — a bounded in-process LRU holding *decoded*
   entry payloads with the index resident (the Haystack pattern): a hot
   hit is one dict lookup, no ``scandir``, no JSON decode;
-* :class:`DiskTier` — the durable on-disk store
-  (:class:`ResultCache`), atomic writes, size-bounded GC, corrupt-entry
-  quarantine.  This is the **tier of record**: entries are only
-  admitted to faster tiers once they are durable here;
+* :class:`DiskTier` — the on-disk store (:class:`ResultCache`),
+  atomic writes, size-bounded GC, corrupt-entry quarantine.  Entries
+  are written here first and only then admitted to the other tiers.
+  They are not fsync'd: any damage a crash leaves reads as a
+  quarantined miss, which re-executes to the same bytes;
 * :class:`RemoteTier` — read-through / write-behind against a ``repro
   serve`` instance over ``cache-get`` / ``cache-put`` frames, so one
   server's disk tier becomes a team's shared warm tier.

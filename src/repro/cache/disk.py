@@ -1,8 +1,11 @@
-"""The durable on-disk tier: today's ``ResultCache``, now the tier of record.
+"""The on-disk tier: ``ResultCache``, written atomically but not fsync'd.
 
 Layout, atomic writes, header validation and size-bounded GC are
 preserved byte-for-byte from the original ``repro.service.ResultCache``
-(which re-exports this class for compatibility).  Two behaviours are
+(which re-exports this class for compatibility).  An entry's only
+reader is a later lookup, and a torn, empty, zero-filled or missing
+entry reads as a quarantined miss that re-executes to the same bytes,
+so an fsync would protect nothing a reader needs.  Two behaviours are
 new:
 
 * **touch-on-hit** — a validated load best-effort bumps the entry's
@@ -24,7 +27,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigError
-from ..orchestrator.journal import fsync_dir
 from ..scenario import MODEL_REVISION, ScenarioSpec
 from ..telemetry.bus import get_bus
 from .tier import (
@@ -55,7 +57,11 @@ class ResultCache:
     with the full spec embedded, so an entry is self-describing (and a
     fingerprint collision with a *different* spec would be detectable).
     Writes are atomic (same-directory tempfile + ``os.replace``), so
-    concurrent campaigns over one cache directory cannot corrupt it.
+    concurrent campaigns over one cache directory cannot corrupt it and
+    no reader ever sees a partial entry.  They are not fsync'd: a crash
+    may lose or tear a recent entry, and a lookup then quarantines it
+    (undecodable) or finds nothing — a miss either way, and the run
+    re-executes to the same bytes.
 
     ``on_corrupt`` (when set) is called with the path of every entry
     quarantined after a decode failure — the service hooks its
@@ -188,7 +194,12 @@ class ResultCache:
         return out
 
     def store_entry(self, entry: Mapping[str, Any]) -> Path:
-        """Atomically persist one validated entry at its canonical path."""
+        """Atomically write one validated entry at its canonical path.
+
+        Atomic, not durable (see the class doc): readers see the old
+        entry or the whole new one, and a crash that loses the write
+        leaves a miss.
+        """
         if not validate_entry(entry, model_revision=entry.get("model_revision")):
             raise ConfigError("malformed cache entry")
         path = self.path_for_key(
@@ -198,12 +209,8 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(dict(entry), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
+                handle.write(json.dumps(dict(entry)))
             os.replace(tmp, path)
-            # The rename itself must survive a crash: sync the directory.
-            fsync_dir(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp)

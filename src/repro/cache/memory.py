@@ -4,8 +4,8 @@ The index is resident (Haystack's metadata-in-memory pattern): a hit is
 one ``OrderedDict`` lookup returning the already-decoded entry dict —
 no ``scandir``, no ``open``, no JSON decode.  Entries are admitted on
 store and on promotion from a slower tier, *after* the disk tier has
-made them durable, so the hot tier never holds a result the tier of
-record does not.
+written them, so the hot tier never holds a result the disk tier
+refused.
 
 Bounded two ways: entry count and approximate resident bytes (the
 JSON-encoded size, measured once at admission).  Eviction is true LRU —

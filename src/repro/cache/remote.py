@@ -218,7 +218,7 @@ class RemoteTier:
                     self.puts += 1
                 else:
                     # Best-effort write-behind: the entry is already
-                    # durable on the local disk tier; drop, count, move on.
+                    # on the local disk tier; drop, count, move on.
                     self.put_errors += 1
                 self._queue_cv.notify_all()
 

@@ -2,18 +2,18 @@
 
 Lookup walks the tiers fast → slow.  A hit in a slower tier is promoted
 into every faster tier on the way out; a miss falls through.  Stores
-write the disk tier **first** — it is the tier of record, and an
-``OSError`` there propagates to the service's breaker/tally accounting
-exactly as it did before tiering existed — then admit the entry to the
-memory tier and enqueue the write-behind remote put.
+write the disk tier **first** — an ``OSError`` there propagates to the
+service's breaker/tally accounting exactly as it did before tiering
+existed — then admit the entry to the memory tier and enqueue the
+write-behind remote put.
 
 Degradation is per tier:
 
 * the **disk** tier's breaker is owned by the service (it predates this
   package): while it is open the service runs cache-off entirely, so
-  the composite never sees a lookup — an unreadable tier of record
-  means results cannot be made durable, and serving hot hits anyway
-  would diverge the tallies chaos asserts on;
+  the composite never sees a lookup — an unreadable disk tier means
+  results cannot be stored, and serving hot hits anyway would diverge
+  the tallies chaos asserts on;
 * the **remote** tier has its own breaker, owned here: a transport
   fault counts one ``error`` probe, strikes the breaker, and the lookup
   degrades to a local miss.  While open, probes are skipped
@@ -109,7 +109,7 @@ class TieredCache:
         self._drain_remote_breaker(bus)
 
     def _backfill_disk(self, entry: Mapping[str, Any]) -> None:
-        """Make a remote hit durable locally (best effort).
+        """Write a remote hit to the local disk tier (best effort).
 
         A failing local disk during a remote *read* must not lose the
         run — the entry is still served; the next per-run disk probe
@@ -229,8 +229,9 @@ class TieredCache:
         """Write one finished run's entry (see :func:`make_entry`) through every tier.
 
         Disk first (``OSError`` propagates — the caller's breaker
-        accounting is the contract); only a durable entry is admitted
-        to the memory tier or shipped to the remote one.
+        accounting is the contract); only an entry the disk tier
+        accepted is admitted to the memory tier or shipped to the
+        remote one.
         """
         self.disk.store_entry(entry)
         if self.memory is not None:

@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         type=Path,
         default=None,
-        help="JSON checkpoint file, written periodically (per-experiment suffix "
-        "when running 'all')",
+        help="JSON checkpoint file, written after every 10 executed runs (cache "
+        "hits do not count; a resume re-serves them from the cache) and at the "
+        "end (per-experiment suffix when running 'all')",
     )
     run_p.add_argument(
         "--resume",

@@ -26,8 +26,12 @@ node dies, the job hits its time limit.  The runner therefore supports
   bug detected by a validating engine — is quarantined even under
   ``on_error="fail"``, so one corrupted point never aborts (or worse,
   silently pollutes) a paranoid campaign; ``"fail"`` re-raises;
-* periodic crash-safe checkpoints of the full store to
-  ``checkpoint_path`` (JSON, atomic replace);
+* crash-safe checkpoints of the full store to ``checkpoint_path``
+  (JSON, atomic replace): one after every ``checkpoint_every`` executed
+  runs and a final one.  A crash loses at most ``checkpoint_every``
+  executed runs; prefetched cache hits do not count, since any hit
+  merged after the last checkpoint is re-served from the cache on
+  resume;
 * :meth:`resume`, which loads the checkpoint and re-executes only the
   (spec, rep) pairs that have no successful record yet — quarantined
   failures are retried, with the prior attempt's failure records
@@ -436,12 +440,16 @@ class ProtocolRunner:
         checkpoint and its state transitions (lease → done/failed) are
         fsync'd, so a resumed campaign reclaims exactly the runs a dead
         owner had in flight.  Prefetched cache hits run no engine, are
-        never in flight and stay out of the journal: once merged, the
-        checkpointed store covers them, so a fresh all-hit campaign
-        never creates the journal.  SIGINT/SIGTERM (when armed via
-        :func:`repro.orchestrator.interrupts.handle_signals`) checkpoint
-        and raise :class:`~repro.errors.CampaignInterrupted` between
-        runs instead of tearing down mid-merge.
+        never in flight and stay out of the journal, so a fresh all-hit
+        campaign never creates the journal.  They do not count toward
+        ``checkpoint_every`` either: the store is checkpointed after
+        every ``checkpoint_every`` successfully executed runs and once
+        at the end, so a crash loses at most ``checkpoint_every``
+        executed runs, and the hits merged since the last checkpoint
+        are re-served from the cache on resume.  SIGINT/SIGTERM (when
+        armed via :func:`repro.orchestrator.interrupts.handle_signals`)
+        checkpoint and raise :class:`~repro.errors.CampaignInterrupted`
+        between runs instead of tearing down mid-merge.
         """
         store = resume_from if resume_from is not None else RecordStore()
         recorded = store.completed_keys()
@@ -519,7 +527,10 @@ class ProtocolRunner:
                                 wall_clock = self._merge(
                                     store, planned, block_index, wall_clock, outcome, bus
                                 )
-                        if not outcome.ok:
+                        # Only executed runs count toward the cadence: a
+                        # hit merged after the last checkpoint is
+                        # re-served from the cache on resume.
+                        if hit or not outcome.ok:
                             continue
                         executed_since_checkpoint += 1
                         if executed_since_checkpoint >= self.checkpoint_every:

@@ -13,10 +13,13 @@ re-executing, so a duplicate submit is always safe and nearly free.
 
 **Durability.**  Admitted jobs are journaled through the same WAL the
 local campaign runner uses (``jobs.journal``), specs are persisted
-under ``specs/<fingerprint>.json``, and results live in the result
-cache — so a server killed mid-campaign restarts with its whole job
-table intact: finished work replays, unfinished work re-executes, and
-the resulting record store is byte-identical to an uninterrupted run.
+(fsync'd, rename included) under ``specs/<fingerprint>.json`` before
+their journal record, and results live in the result cache — so a
+server killed mid-campaign restarts with its whole job table intact:
+finished work replays, unfinished work re-executes, and the resulting
+record store is byte-identical to an uninterrupted run.  Cache entries
+are not fsync'd: a finished job whose entry a crash lost or tore is
+re-queued at its first ``wait`` and re-executes to the same bytes.
 
 **Bounded load.**  Admission control (see :mod:`.admission`) sheds
 over-capacity and mid-drain submits with a ``busy`` frame carrying a
@@ -54,6 +57,7 @@ from typing import Any
 
 from ..cache import validate_entry
 from ..errors import ConfigError, ProtocolError
+from ..orchestrator.journal import fsync_dir
 from ..orchestrator.queue import DurableJobQueue
 from ..scenario import ScenarioSpec
 from ..service import ResultCache, get_service
@@ -306,16 +310,23 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         return self.config.state_dir / "specs" / f"{fingerprint}.json"
 
     def _persist_spec(self, scenario: ScenarioSpec) -> None:
+        """Durably write a new fingerprint's spec (before its WAL enqueue).
+
+        The file and, after the rename, ``specs/`` itself are fsync'd:
+        recovery re-executes whatever the WAL admits, so the spec must
+        outlive a crash that the journal record outlives.
+        """
         path = self._spec_path(scenario.fingerprint)
         if path.exists():
             return
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(scenario.to_jsonable(), handle)
+                handle.write(json.dumps(scenario.to_jsonable()))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
+            fsync_dir(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -579,26 +590,52 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             "accepted", job=scenario.fingerprint, rep=rep, state="queued", trace=trace
         )
 
+    def _requeue_lost(self, job: _Job) -> None:
+        """Re-execute a recovered done job whose cache entry is gone.
+
+        Cache entries are not fsync'd, so a crash may lose one; the run
+        re-executes to the same bytes.  ``enqueue`` reopens the WAL's
+        ``done`` entry.  A no-op when another wait re-queued it first.
+        """
+        with self._lock:
+            if job.status != "ok" or job.result is not None:
+                return
+            job.done.clear()
+            job.status = ""
+            self.queue.enqueue(job.fingerprint, job.rep, trace=job.trace)
+            job.enqueued_at = time.monotonic()
+            self.admission.occupy(job.job_id)
+            self._work.append(job)
+            self._work_cv.notify()
+
     def _result_frame(self, job: _Job) -> dict[str, Any]:
         if job.status == "ok" and job.result is None:
             # Recovered done job: replay lazily from the result cache.
-            if job.scenario is not None:
-                try:
-                    entry = self._store.load(job.scenario, job.rep)
-                except OSError:
-                    entry = None
-                if entry is not None:
-                    job.result = entry["result"]
-                    job.events = list(entry.get("events", ()))
-            if job.result is None:
+            if job.scenario is None:
                 return message(
                     "result",
                     job=job.fingerprint,
                     rep=job.rep,
                     status="failed",
                     cached=True,
-                    error="result cache entry lost after restart",
+                    error=(
+                        f"spec {self._spec_path(job.fingerprint)} is missing "
+                        "after restart: the job can neither replay nor re-execute"
+                    ),
                 )
+            try:
+                entry = self._store.load(job.scenario, job.rep)
+            except OSError:
+                entry = None
+            if entry is not None:
+                job.result = entry["result"]
+                job.events = list(entry.get("events", ()))
+            else:
+                self._requeue_lost(job)
+        if not job.status:
+            # Re-queued above (or by a concurrent wait): the client's
+            # wait loop re-polls until the re-execution finishes.
+            return message("pending", job=job.fingerprint, rep=job.rep)
         return message(
             "result",
             job=job.fingerprint,

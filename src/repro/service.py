@@ -19,9 +19,9 @@ The service owns:
   on the context the first one built;
 * the **content-addressed result cache**: a tiered composite
   (:mod:`repro.cache`) keyed by ``(spec fingerprint, model revision,
-  engine, rep)`` — an in-process LRU hot tier, the durable on-disk
-  tier of record, and an optional read-through/write-behind remote
-  tier shared through a ``repro serve`` instance.  A hit in any tier
+  engine, rep)`` — an in-process LRU hot tier, the on-disk tier
+  (atomic writes, no fsync), and an optional read-through/write-behind
+  remote tier shared through a ``repro serve`` instance.  A hit in any tier
   replays the stored :class:`~repro.engine.result.RunResult` *and* the
   engine's telemetry events byte-identically without executing
   anything (and promotes the entry into the faster tiers); a miss
@@ -258,11 +258,11 @@ class SimulationService:
 
     def __init__(self) -> None:
         self._contexts: dict[tuple[str, str, str], BuiltScenario] = {}
-        # Cache circuit breaker for the tier of record: repeated disk
+        # Cache circuit breaker for the disk tier: repeated disk
         # OSErrors trip it open and runs degrade to cache-off instead of
         # failing the campaign; after the cooldown one probe half-opens
-        # it.  (An unreadable tier of record means results cannot be
-        # made durable; serving hot hits anyway would diverge tallies.)
+        # it.  (An unreadable disk tier means results cannot be stored;
+        # serving hot hits anyway would diverge tallies.)
         self.breaker = CircuitBreaker()
         # The remote tier's own breaker: remote faults degrade lookups
         # to the local tiers without touching the disk breaker.

@@ -169,6 +169,20 @@ class TestDiskTier:
         assert store.load_key(entry["fingerprint"], "fluid", 0) == entry
         assert store.load_key(entry["fingerprint"], "fluid", 1) is None
 
+    def test_stored_bytes_are_the_entry_json(self, tmp_path):
+        entry = _entry(pad=64)
+        path = ResultCache(tmp_path).store_entry(entry)
+        assert path.read_bytes() == json.dumps(entry).encode()
+
+    def test_store_entry_is_atomic_without_fsync(self, tmp_path, monkeypatch):
+        # An entry's only reader is a lookup, and a lost or torn entry
+        # reads as a miss: nothing needs it to outlive a crash.
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", fsyncs.append)
+        path = ResultCache(tmp_path).store_entry(_entry())
+        assert fsyncs == []
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
     def test_malformed_entry_refused(self, tmp_path):
         with pytest.raises(ConfigError):
             ResultCache(tmp_path).store_entry({**_entry(), "schema": 99})

@@ -2,10 +2,12 @@
 
 A prefetched cache hit runs no engine, so it is never in flight: the
 runner neither enqueues, leases nor finishes it in the campaign's
-durable queue, and once merged the checkpointed store covers it.  These
-tests record what the journal is sent, and SIGKILL a campaign driver
-with hits already merged, to show that resume still reclaims the one
-run that was in flight and rebuilds the uninterrupted store.
+durable queue, and it does not count toward ``checkpoint_every`` — a
+hit merged after the last checkpoint is re-served from the cache on
+resume.  These tests record what the journal is sent, and SIGKILL a
+campaign driver with hits already merged, to show that resume reclaims
+the one run that was in flight, re-serves every hit from the cache and
+rebuilds the uninterrupted store.
 """
 
 import os
@@ -23,7 +25,7 @@ from repro.methodology.records import RecordStore
 from repro.methodology.runner import ProtocolRunner
 from repro.orchestrator.journal import Journal, read_records
 from repro.scenario.compile import compile_scenario
-from repro.service import ServiceExecutor, get_service
+from repro.service import ServiceExecutor, cache_stats, get_service, reset_cache_stats
 
 from tests.methodology.test_parallel import store_bytes
 
@@ -156,7 +158,8 @@ class _KillOnMissAfterHit:
 
 def _driver_main(checkpoint, cache_dir):
     """Subprocess entry: the half-warm campaign, serial, a checkpoint
-    after every run, killed at its first executed miss after a hit."""
+    after every executed run, killed at its first executed miss after
+    a hit."""
     plan, scenarios = small_campaign()
     ProtocolRunner(
         _KillOnMissAfterHit(executor(scenarios, cache_dir)),
@@ -192,8 +195,11 @@ def test_kill_after_hits_resumes_byte_identical(tmp_path, workers):
     )
     assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
 
-    merged = RecordStore.read_json(ckpt).completed_keys()
-    assert merged & hits, "the driver died before merging a hit"
+    # Hits do not trigger checkpoints, so none is in the checkpoint:
+    # each executed miss before the first hit wrote one (there may be
+    # none), and the driver died at the first miss after a hit.
+    merged = RecordStore.read_json(ckpt).completed_keys() if ckpt.exists() else set()
+    assert not merged & hits
     records, torn = read_records(journal)
     assert torn == 0
     states = {(r["key"], r["rep"]): r["state"] for r in records}
@@ -207,7 +213,11 @@ def test_kill_after_hits_resumes_byte_identical(tmp_path, workers):
         checkpoint_path=ckpt,
         checkpoint_every=1,
     )
+    reset_cache_stats()
     store = runner.resume(plan)
     assert runner.supervision_stats["reclaimed"] == 1
+    stats = cache_stats()
+    assert stats["hit"] == len(hits)
+    assert stats["miss"] == plan.num_runs - len(hits) - len(merged)
     assert store_bytes(store, tmp_path, "resumed") == expected
     assert not journal.exists()

@@ -6,10 +6,15 @@ raw protocol frames — the same wire path production uses, minus the
 subprocess boundary (the chaos harness covers that).
 """
 
+import hashlib
 import json
+import os
 import shutil
 import socket
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +26,18 @@ from repro.errors import ConfigError, RemoteError
 from repro.client import RemoteClient
 from repro.faults import FaultSchedule, target_outage
 from repro.methodology.plan import ExperimentSpec
+from repro.orchestrator.queue import DurableJobQueue
 from repro.orchestrator.supervise import CircuitBreaker
 from repro.scenario.compile import compile_scenario
 from repro.server import OrchestratorServer, ServerConfig
+from repro.server import app as server_app
 from repro.server.netchaos import serve_in_thread
 from repro.server.protocol import message, recv_frame, send_frame
 from repro.service import get_service
 from repro.telemetry.bus import RingBufferSink, get_bus
 from repro.verify.level import ValidationLevel
+
+from tests.orchestrator.test_durability import DAMAGE
 
 
 def _scenario(num_nodes=2, seed=0):
@@ -93,6 +102,17 @@ def ring():
 
 def _events(ring, event_type):
     return [e for e in ring.events if e.get("event") == event_type]
+
+
+def _digest(result):
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+def _submit_and_wait(config, scenario, rep):
+    with serve_in_thread(config) as server:
+        with RemoteClient("127.0.0.1", server.port, fallback=False) as client:
+            client.submit(scenario, rep)
+            return client.wait(scenario, rep)
 
 
 class TestConfig:
@@ -307,6 +327,64 @@ class TestRestart:
                 client.run(scenario, 0)
         assert len(_events(ring, "server.admit")) == 1
 
+    @pytest.mark.parametrize("damage", ["removed", "truncated", "zero-filled"])
+    def test_a_finished_job_whose_entry_was_lost_re_executes(self, tmp_path, damage):
+        scenario = _scenario()
+        config = _config(tmp_path)
+        before = _submit_and_wait(config, scenario, 0)
+        cache = config.state_dir / "cache"
+        DAMAGE[damage](ResultCache(cache).path_for(scenario, 0))
+        # A restarted process holds nothing hot: the disk is all it has.
+        get_service().drop_memory_tiers(cache)
+        after = _submit_and_wait(config, scenario, 0)
+        assert after["status"] == "ok", after.get("error")
+        assert _digest(after["result"]) == _digest(before["result"])
+        assert ResultCache(cache).load(scenario, 0)["result"] == before["result"]
+
+    def test_concurrent_waits_on_a_lost_entry_re_execute_it_once(self, tmp_path, ring):
+        scenario = _scenario()
+        config = _config(tmp_path)
+        before = _submit_and_wait(config, scenario, 0)
+        cache = config.state_dir / "cache"
+        ResultCache(cache).path_for(scenario, 0).unlink()
+        get_service().drop_memory_tiers(cache)
+        frames = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serve_in_thread(config) as server:
+
+                def wait():
+                    with RemoteClient("127.0.0.1", server.port, fallback=False) as client:
+                        client.submit(scenario, 0)
+                        frames.append(client.wait(scenario, 0))
+
+                threads = [threading.Thread(target=wait) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert [f["status"] for f in frames] == ["ok"] * 8
+        assert {_digest(f["result"]) for f in frames} == {_digest(before["result"])}
+        # The first generation's run and exactly one re-execution.
+        assert len(_events(ring, "server.lease")) == 2
+
+    def test_a_finished_job_without_its_spec_stays_failed(self, tmp_path):
+        scenario = _scenario()
+        config = _config(tmp_path)
+        _submit_and_wait(config, scenario, 0)
+        cache = config.state_dir / "cache"
+        ResultCache(cache).path_for(scenario, 0).unlink()
+        spec_file = config.state_dir / "specs" / f"{scenario.fingerprint}.json"
+        spec_file.unlink()
+        get_service().drop_memory_tiers(cache)
+        frame = _submit_and_wait(config, scenario, 0)
+        assert frame["status"] == "failed"
+        assert str(spec_file) in frame["error"]
+
 
 class TestFallback:
     def _dead_port(self):
@@ -346,6 +424,37 @@ class TestStatePersistence:
             assert spec_file.is_file()
             stored = json.loads(spec_file.read_text())
             assert stored == scenario.to_jsonable()
+        assert spec_file.read_text() == json.dumps(scenario.to_jsonable())
+
+    def test_spec_directory_is_synced_between_rename_and_enqueue(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        replace, fsync_dir, enqueue = os.replace, server_app.fsync_dir, DurableJobQueue.enqueue
+
+        def recording_replace(src, dst):
+            calls.append(("replace", Path(dst)))
+            replace(src, dst)
+
+        def recording_fsync_dir(path):
+            calls.append(("fsync_dir", Path(path)))
+            fsync_dir(path)
+
+        def recording_enqueue(self, key, rep, **kwargs):
+            calls.append(("enqueue", key))
+            return enqueue(self, key, rep, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(server_app, "fsync_dir", recording_fsync_dir)
+        monkeypatch.setattr(DurableJobQueue, "enqueue", recording_enqueue)
+        scenario = _scenario()
+        config = _config(tmp_path)
+        _submit_and_wait(config, scenario, 0)
+        specs = config.state_dir / "specs"
+        renamed = calls.index(("replace", specs / f"{scenario.fingerprint}.json"))
+        synced = calls.index(("fsync_dir", specs))
+        enqueued = calls.index(("enqueue", scenario.fingerprint))
+        assert renamed < synced < enqueued
 
 
 class TestJobPath:
