@@ -3,14 +3,14 @@
 Results of ``(scenario, rep)`` simulations are fully content-addressed
 — the key is ``(spec fingerprint, model revision, engine, rep)`` — so a
 cache entry computed anywhere is valid everywhere.  This package layers
-three stores of that key space behind the small :class:`CacheTier`
-interface (``lookup / lookup_many / store_entry / stats / gc``):
+three stores of that key space, each answering ``lookup / lookup_many /
+store_entry / stats``:
 
 * :class:`MemoryTier` — a bounded in-process LRU holding *decoded*
   entry payloads with the index resident (the Haystack pattern): a hot
   hit is one dict lookup, no ``scandir``, no JSON decode;
-* :class:`DiskTier` — the on-disk store (:class:`ResultCache`),
-  atomic writes, size-bounded GC, corrupt-entry quarantine.  Entries
+* :class:`ResultCache` — the on-disk store: atomic writes,
+  size-bounded GC (``repro cache gc``), corrupt-entry quarantine.  Entries
   are written here first and only then admitted to the other tiers.
   They are not fsync'd: any damage a crash leaves reads as a
   quarantined miss, which re-executes to the same bytes;
@@ -34,22 +34,14 @@ stats`` and the ``service.cache.tier`` counter.
 
 from __future__ import annotations
 
-from .disk import DiskTier, ResultCache
+from .disk import ResultCache
 from .memory import MemoryTier
 from .remote import RemoteTier
-from .tier import (
-    CACHE_SCHEMA,
-    CacheTier,
-    entry_key,
-    make_entry,
-    validate_entry,
-)
+from .tier import CACHE_SCHEMA, entry_key, make_entry, validate_entry
 from .tiered import TieredCache, reset_tier_stats, tier_stats
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CacheTier",
-    "DiskTier",
     "MemoryTier",
     "RemoteTier",
     "ResultCache",

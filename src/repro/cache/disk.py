@@ -32,13 +32,12 @@ from ..telemetry.bus import get_bus
 from .tier import (
     CACHE_SCHEMA,
     EntryKey,
-    make_entry,
     safe_fingerprint,
     safe_token,
     validate_entry,
 )
 
-__all__ = ["ResultCache", "DiskTier", "default_cache_dir"]
+__all__ = ["ResultCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
@@ -67,8 +66,6 @@ class ResultCache:
     quarantined after a decode failure — the service hooks its
     ``corrupt`` tally here without this module importing the service.
     """
-
-    name = "disk"
 
     def __init__(
         self,
@@ -219,15 +216,6 @@ class ResultCache:
             raise
         return path
 
-    def store(
-        self,
-        spec: ScenarioSpec,
-        rep: int,
-        result: Any,
-        events: list[dict[str, Any]],
-    ) -> Path:
-        return self.store_entry(make_entry(spec, rep, result, events))
-
     def __len__(self) -> int:
         if not self.root.is_dir():
             return 0
@@ -310,34 +298,3 @@ class ResultCache:
                 remaining_bytes=total - freed,
             )
         return summary
-
-
-class DiskTier:
-    """The :class:`CacheTier` face of a :class:`ResultCache`.
-
-    A thin adapter: the store itself predates the tier interface and is
-    used directly by the server and CLI; this wrapper is what the
-    :class:`~repro.cache.tiered.TieredCache` composes.
-    """
-
-    name = "disk"
-
-    def __init__(self, store: ResultCache):
-        self.store = store
-
-    def lookup(self, spec: ScenarioSpec, rep: int) -> dict[str, Any] | None:
-        return self.store.load(spec, rep)
-
-    def lookup_many(
-        self, jobs: "list[tuple[ScenarioSpec, int]]"
-    ) -> dict[EntryKey, dict[str, Any]]:
-        return self.store.load_many(jobs)
-
-    def store_entry(self, entry: Mapping[str, Any]) -> None:
-        self.store.store_entry(entry)
-
-    def stats(self) -> dict[str, Any]:
-        return self.store.stats()
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> dict[str, int]:
-        return self.store.gc(max_bytes, dry_run=dry_run)

@@ -40,8 +40,6 @@ _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 class MemoryTier:
     """A bounded, thread-safe LRU over decoded cache entries."""
 
-    name = "memory"
-
     def __init__(
         self,
         max_entries: int = _DEFAULT_MAX_ENTRIES,
@@ -133,35 +131,4 @@ class MemoryTier:
                 "bytes": self._bytes,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
-            }
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> dict[str, int]:
-        """Evict LRU-first until resident bytes fit ``max_bytes``."""
-        if max_bytes < 0:
-            raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
-        with self._lock:
-            scanned = len(self._entries)
-            total = self._bytes
-            evicted = 0
-            freed = 0
-            if not dry_run:
-                while self._bytes > max_bytes and self._entries:
-                    _, (_, size) = self._entries.popitem(last=False)
-                    self._bytes -= size
-                    evicted += 1
-                    freed += size
-            else:
-                running = total
-                for _, size in self._entries.values():
-                    if running <= max_bytes:
-                        break
-                    running -= size
-                    evicted += 1
-                    freed += size
-            return {
-                "scanned": scanned,
-                "evicted": evicted,
-                "freed_bytes": freed,
-                "remaining_bytes": total - freed,
-                "dry_run": bool(dry_run),
             }

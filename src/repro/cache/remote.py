@@ -56,8 +56,6 @@ def parse_address(address: str) -> tuple[str, int]:
 class RemoteTier:
     """One shared warm tier behind a ``repro serve`` endpoint."""
 
-    name = "remote"
-
     def __init__(self, host: str, port: int, timeout_s: float = 5.0):
         self.host = host
         self.port = int(port)
@@ -245,12 +243,6 @@ class RemoteTier:
                 "puts": self.puts,
                 "put_errors": self.put_errors,
             }
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> dict[str, int]:
-        raise ConfigError(
-            "the remote tier cannot be gc'd from a client; run "
-            "'repro cache gc' on the serving host"
-        )
 
     def close(self) -> None:
         with self._queue_cv:

@@ -1,4 +1,4 @@
-"""The cache-tier interface and the entry format every tier speaks.
+"""The entry format every cache tier speaks.
 
 A cache **entry** is a plain JSON-able dict, self-describing through
 its header fields (``schema``, ``fingerprint``, ``model_revision``,
@@ -16,13 +16,12 @@ reads from it.
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping
 
 from ..scenario import MODEL_REVISION, ScenarioSpec
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CacheTier",
     "EntryKey",
     "entry_key",
     "make_entry",
@@ -123,29 +122,3 @@ def validate_entry(
     if entry["model_revision"] != wanted_rev:
         return False
     return True
-
-
-@runtime_checkable
-class CacheTier(Protocol):
-    """What every tier offers; see the package docstring for the roles.
-
-    ``lookup``/``lookup_many`` return whole entries (or omit the key on
-    a miss).  ``store_entry`` persists one entry.  Tiers report
-    occupancy through ``stats`` and bound it through ``gc``.  I/O
-    failures surface as ``OSError`` — the composite (not the tier)
-    decides whether that strikes a breaker, degrades, or propagates.
-    """
-
-    name: str
-
-    def lookup(self, spec: ScenarioSpec, rep: int) -> dict[str, Any] | None: ...
-
-    def lookup_many(
-        self, jobs: "list[tuple[ScenarioSpec, int]]"
-    ) -> dict[EntryKey, dict[str, Any]]: ...
-
-    def store_entry(self, entry: Mapping[str, Any]) -> None: ...
-
-    def stats(self) -> dict[str, Any]: ...
-
-    def gc(self, max_bytes: int, dry_run: bool = False) -> dict[str, int]: ...

@@ -255,25 +255,3 @@ class TieredCache:
         if self.remote is not None:
             out["remote"] = {**self.remote.stats(), **tallies["remote"]}
         return out
-
-    def gc(
-        self, max_bytes: int, tier: str = "disk", dry_run: bool = False
-    ) -> dict[str, int]:
-        """Size-bound one tier (disk by default; memory evicts LRU)."""
-        if tier == "disk":
-            return self.disk.gc(max_bytes, dry_run=dry_run)
-        if tier == "memory":
-            if self.memory is None:
-                return {
-                    "scanned": 0,
-                    "evicted": 0,
-                    "freed_bytes": 0,
-                    "remaining_bytes": 0,
-                    "dry_run": bool(dry_run),
-                }
-            return self.memory.gc(max_bytes, dry_run=dry_run)
-        if tier == "remote" and self.remote is not None:
-            return self.remote.gc(max_bytes, dry_run=dry_run)
-        from ..errors import ConfigError
-
-        raise ConfigError(f"unknown cache tier {tier!r}")

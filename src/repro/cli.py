@@ -54,13 +54,13 @@ Subcommands
     entries, deny the cache directory — and assert every campaign still
     completes with a byte-identical record store.  Exit 0 means all
     injections were survived.
-``cache gc --max-bytes N [--cache-dir DIR] [--tier {disk,memory}]
-[--dry-run]``
-    Evict result-cache entries, least recently used first, until the
-    tier fits in N bytes (accepts unit suffixes, e.g. ``500MiB``).
-    Cache hits touch entry mtimes, so disk eviction order is true LRU.
-    ``--dry-run`` reports what would be evicted without deleting
-    anything.
+``cache gc --max-bytes N [--cache-dir DIR] [--dry-run]``
+    Evict on-disk result-cache entries, least recently used first,
+    until the directory fits in N bytes (accepts unit suffixes, e.g.
+    ``500MiB``).  Cache hits touch entry mtimes, so eviction order is
+    true LRU.  ``--dry-run`` reports what would be evicted without
+    deleting anything.  (A remote tier is collected on its serving
+    host.)
 ``cache stats [--cache-dir DIR] [--remote HOST:PORT]``
     Per-tier occupancy (entries, bytes, quarantined corrupt files) and
     this process's probe tallies with hit ratios; with ``--remote``,
@@ -80,11 +80,12 @@ Subcommands
 ``submit EXP_ID --remote HOST:PORT [--reps N] [--seed S] [--out DIR]
 [--priority {interactive,batch}] [--deadline-s S] [--no-fallback]
 [--telemetry PATH] [--trace]``
-    Run one experiment's campaign against a remote ``serve`` instance
-    under the paper's exact protocol; records are byte-identical to a
-    local ``run``.  Transient faults retry with backoff; with fallback
-    enabled (default) an unreachable server degrades to local
-    execution instead of failing the campaign.
+    Run one sweep experiment's registered campaign (the same specs,
+    engine options and scenario builder as ``run``) against a remote
+    ``serve`` instance under the paper's exact protocol; records are
+    byte-identical to a local ``run``.  Transient faults retry with
+    backoff; with fallback enabled (default) an unreachable server
+    degrades to local execution instead of failing the campaign.
 ``trace PATH [PATH ...] [--export FILE] [--check] [--job FP] [--limit N]``
     Reconstruct per-job distributed span trees from one or more traced
     event streams (client + server + workers; directories expand to
@@ -360,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="result cache directory (default: $REPRO_CACHE_DIR or "
         "~/.cache/beegfs-repro)",
-    )
-    cache_gc_p.add_argument(
-        "--tier",
-        choices=["disk", "memory"],
-        default="disk",
-        help="which tier to collect (default: disk; the remote tier is "
-        "collected on its serving host)",
     )
     cache_gc_p.add_argument(
         "--dry-run",
@@ -774,23 +768,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    from .service import ResultCache, get_service
+    from .service import ResultCache
     from .units import parse_size
 
     cache = ResultCache(args.cache_dir)
-    where = cache.root if args.tier == "disk" else "the hot tier"
-    if args.tier == "disk":
-        summary = cache.gc(int(parse_size(args.max_bytes)), dry_run=args.dry_run)
-    else:
-        # A fresh CLI process has an empty hot tier; this path exists
-        # for embedders and symmetry, and reports honestly.
-        tiers = get_service()._tiered(args.cache_dir)
-        summary = tiers.gc(
-            int(parse_size(args.max_bytes)), tier="memory", dry_run=args.dry_run
-        )
+    summary = cache.gc(int(parse_size(args.max_bytes)), dry_run=args.dry_run)
     if args.dry_run:
         print(
-            f"cache gc ({args.tier}) in {where} (dry run): "
+            f"cache gc in {cache.root} (dry run): "
             f"{summary['scanned']} entr(y/ies) scanned, "
             f"{summary['evicted']} would be evicted "
             f"({summary['freed_bytes']} bytes would be freed), "
@@ -798,7 +783,7 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         )
     else:
         print(
-            f"cache gc ({args.tier}) in {where}: "
+            f"cache gc in {cache.root}: "
             f"{summary['scanned']} entr(y/ies) scanned, "
             f"{summary['evicted']} evicted ({summary['freed_bytes']} bytes freed), "
             f"{summary['remaining_bytes']} bytes remain"
@@ -925,7 +910,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if info.specs is None:
         raise RemoteError(
             f"experiment {args.exp_id!r} has no declarative sweep and cannot "
-            "run remotely (its runs need a custom apps builder)"
+            "run remotely"
         )
     specs = info.specs()
     reps = args.reps if args.reps is not None else info.default_repetitions
@@ -951,6 +936,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             port,
             repetitions=reps,
             seed=args.seed,
+            options=info.options,
+            builder=info.builder,
             progress=progress,
             deadline_s=args.deadline_s,
             fallback=not args.no_fallback,

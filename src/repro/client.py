@@ -25,8 +25,10 @@ the unreliable network look like the local service:
 :class:`RemoteExecutor` adapts the client to the
 :class:`~repro.methodology.runner.ProtocolRunner` executor contract —
 the same merge logic then produces record stores byte-identical to a
-local campaign's — and :func:`remote_run_specs` mirrors
-:func:`repro.experiments.common.run_specs` for remote execution.
+local campaign's — and :func:`remote_run_specs` runs a sweep through
+it, planned and compiled by the same
+:func:`~repro.scenario.compile.compile_campaign` as a local
+:func:`repro.experiments.common.run_specs` campaign.
 """
 
 from __future__ import annotations
@@ -39,13 +41,12 @@ from typing import Any, Callable, Sequence
 from .engine.base import EngineOptions
 from .engine.result import RunResult, result_from_jsonable
 from .errors import ExperimentError, ProtocolError, RemoteError
-from .methodology.plan import ExperimentPlan, ExperimentSpec
-from .methodology.protocol import ProtocolConfig
+from .methodology.plan import ExperimentSpec
 from .methodology.records import RecordStore
 from .methodology.runner import ProtocolRunner
 from .orchestrator.supervise import SupervisionPolicy
 from .scenario import ScenarioSpec
-from .scenario.compile import compile_scenario
+from .scenario.compile import compile_campaign
 from .server.protocol import check_version, message, recv_frame, send_frame
 from .service import get_service
 from .telemetry.bus import get_bus
@@ -421,19 +422,16 @@ def remote_run_specs(
 ) -> RecordStore:
     """Run a sweep remotely under the paper's exact protocol.
 
-    Mirrors :func:`repro.experiments.common.run_specs` — same protocol
-    (:meth:`ProtocolConfig.for_repetitions`), same plan seeding, same
-    scenario lowering — with a :class:`RemoteExecutor` in place of the
-    local service executor, so the resulting record store is
-    byte-identical to a local campaign over the same specs.
+    The plan and the scenarios come from
+    :func:`~repro.scenario.compile.compile_campaign`, as in
+    :func:`repro.experiments.common.run_specs`; only the executor
+    differs (a :class:`RemoteExecutor`), so the record store is
+    byte-identical to a local campaign over the same specs and campaign
+    knobs.
     """
-    plan = ExperimentPlan.build(specs, ProtocolConfig.for_repetitions(repetitions), seed=seed)
-    scenarios = {
-        spec.key: compile_scenario(
-            spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
-        )
-        for spec in specs
-    }
+    plan, scenarios = compile_campaign(
+        specs, repetitions, seed=seed, options=options, max_nodes=max_nodes, builder=builder
+    )
     executor = RemoteExecutor(
         scenarios=scenarios,
         host=host,

@@ -1,13 +1,12 @@
 """The paper's experiments, one module per figure.
 
-Every module exposes the same surface:
-
-* ``EXP_ID`` / ``TITLE`` / ``PAPER_REF`` constants,
-* ``run(repetitions=..., seed=...) -> ExperimentOutput`` executing the
-  experiment under the Section III-C protocol and rendering its figure,
-
+Every module defines ``EXP_ID`` / ``TITLE`` / ``PAPER_REF`` constants
 and registers itself in :mod:`repro.experiments.registry`, which the
-CLI and the benchmark harness consume.
+CLI and the benchmark harness consume.  A sweep experiment registers
+its ``specs()`` table, campaign knobs, ``render`` and notes; any other
+registers its own procedure.  Either way
+``get_experiment(id).run(repetitions=..., seed=...)`` executes it under
+the Section III-C protocol and renders its figure.
 
 Default repetition counts are the paper's 100; tests and benchmarks
 pass reduced counts.

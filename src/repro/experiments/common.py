@@ -1,18 +1,18 @@
 """Shared experiment machinery: sweep tables and the campaign entry point.
 
 Experiment modules declare *what* to simulate as a :func:`sweep` table —
-a factor grid over one or more calibration scenarios — and hand the
-resulting specs to :func:`run_specs`, which lowers every spec through
-:func:`repro.scenario.compile.compile_scenario` and executes the
+a factor grid over one or more calibration scenarios — and register it
+with its campaign knobs (:mod:`repro.experiments.registry`).
+:func:`run_specs` plans the sweep and lowers every spec through
+:func:`repro.scenario.compile.compile_campaign`, then executes the
 campaign through the process-wide
 :class:`~repro.service.SimulationService` (content-addressed result
 cache included).  The factor vocabulary itself is documented on
 :func:`repro.scenario.compile.default_apps_builder`.
 
-Two campaign decisions live elsewhere and are only read here: the
-protocol a repetition count runs under
-(:meth:`~repro.methodology.protocol.ProtocolConfig.for_repetitions`,
-shared with ``remote_run_specs``) and the ambient cache policy
+Two campaign decisions live elsewhere and are only read here: how a
+sweep is planned and compiled (``compile_campaign``, shared with
+``remote_run_specs``) and the ambient cache policy
 (:func:`repro.service.cache_config`).
 """
 
@@ -26,12 +26,11 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..engine.base import EngineOptions, ValidationLevel
 from ..errors import ExperimentError
-from ..methodology.plan import ExperimentPlan, ExperimentSpec
-from ..methodology.protocol import ProtocolConfig
+from ..methodology.plan import ExperimentSpec
 from ..methodology.parallel import ParallelProtocolRunner
 from ..methodology.records import RecordStore
 from ..methodology.runner import ProtocolRunner
-from ..scenario.compile import compile_scenario, default_apps_builder
+from ..scenario.compile import compile_campaign, default_apps_builder
 from ..service import ServiceExecutor, resolve_cache_policy
 
 __all__ = [
@@ -161,14 +160,15 @@ def run_specs(
 ) -> RecordStore:
     """Run a sweep under the paper's protocol and return the records.
 
-    Every spec is lowered through ``compile_scenario`` (with the given
-    ``builder``) and executed through the simulation service, so
-    previously-simulated (configuration, rep) pairs replay from the
-    content-addressed cache; ``cache=False`` (or a ``--no-cache``
-    campaign) forces execution, and runs with ``validation`` enabled
-    always execute.  ``cache``/``cache_dir``/``cache_remote`` left at
-    ``None`` take the ambient :func:`repro.service.cache_config` policy,
-    resolved once here so every worker sees it under any start method.
+    Every spec is lowered through ``compile_campaign`` (with the given
+    ``options``, ``max_nodes`` and ``builder``) and executed through the
+    simulation service, so previously-simulated (configuration, rep)
+    pairs replay from the content-addressed cache; ``cache=False`` (or
+    a ``--no-cache`` campaign) forces execution, and runs with
+    ``validation`` enabled always execute.
+    ``cache``/``cache_dir``/``cache_remote`` left at ``None`` take the
+    ambient :func:`repro.service.cache_config` policy, resolved once
+    here so every worker sees it under any start method.
 
     ``on_error``/``checkpoint``/``resume``/``checkpoint_every`` configure
     the :class:`~repro.methodology.runner.ProtocolRunner`'s resilience;
@@ -189,13 +189,9 @@ def run_specs(
     cache, cache_dir, cache_remote = resolve_cache_policy(cache, cache_dir, cache_remote)
     if validation is not None:
         options = replace(options, validation=ValidationLevel.parse(validation))
-    plan = ExperimentPlan.build(specs, ProtocolConfig.for_repetitions(repetitions), seed=seed)
-    scenarios = {
-        spec.key: compile_scenario(
-            spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
-        )
-        for spec in specs
-    }
+    plan, scenarios = compile_campaign(
+        specs, repetitions, seed=seed, options=options, max_nodes=max_nodes, builder=builder
+    )
     executor = ServiceExecutor(
         scenarios=scenarios,
         cache=cache,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..figures.ascii import render_table
 from ..methodology.plan import ExperimentSpec
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "chunksize"
@@ -55,13 +55,14 @@ def render(records) -> str:
     )
 
 
-def run(repetitions: int = 40, seed: int = 0, progress=None) -> ExperimentOutput:
-    records = run_specs(specs(), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        default_repetitions=40,
+        specs=specs,
+        render=render,
         notes="Chunks at or below half the transfer size are equivalent (the "
         "per-node RPC slots already cap the concurrency they add), but chunks "
         ">= the transfer size leave each process with a single outstanding "
@@ -69,6 +70,4 @@ def run(repetitions: int = 40, seed: int = 0, progress=None) -> ExperimentOutput
         "Section III-B insists on ('large enough to require more than one OST "
         "to be accessed for each request') is exactly this boundary.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, default_repetitions=40, specs=specs))
+)

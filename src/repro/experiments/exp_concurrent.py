@@ -22,7 +22,7 @@ import numpy as np
 
 from ..figures.ascii import bar_panel, render_table
 from ..methodology.plan import ExperimentSpec
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig12"
@@ -131,19 +131,17 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, progress=None) -> ExperimentOutput:
-    records = run_specs(specs(), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes=(
             "Aggregate should track the scaled single-app baseline (sharing does not "
             "degrade global performance); individual bandwidth drops as 1/m-ish "
             "(bandwidth sharing, up to ~20% extra at stripe 2 without any target sharing)."
         ),
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..figures.ascii import render_table, series_panel
 from ..methodology.plan import ExperimentSpec
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig2"
@@ -68,15 +68,13 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, scenarios=("scenario1", "scenario2"), progress=None) -> ExperimentOutput:
-    records = run_specs(specs(tuple(scenarios)), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes="Bandwidth should stabilise between 16 and 32 GiB; spread shrinks with size.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

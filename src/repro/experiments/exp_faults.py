@@ -34,8 +34,8 @@ from ..methodology.records import RecordStore, RunRecord
 from ..scenario.compile import compile_scenario
 from ..service import get_service
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
-from .registry import ExperimentInfo, register
+from .common import ExperimentOutput, sweep
+from .registry import ExperimentInfo, get_experiment, register
 
 EXP_ID = "faults"
 TITLE = "Fault injection: mid-run target outage and degraded allocation"
@@ -149,13 +149,7 @@ def _render_degraded(records: RecordStore) -> str:
 
 def run(repetitions: int = 30, seed: int = 0, progress=None) -> ExperimentOutput:
     timeline_figure, records = _run_timeline(seed)
-    degraded = run_specs(
-        specs(),
-        repetitions=repetitions,
-        seed=seed,
-        options=EngineOptions(fault_schedule=degraded_schedule()),
-        progress=progress,
-    )
+    degraded = get_experiment(EXP_ID).campaign(repetitions, seed, progress)
     records.extend(degraded)
     figure = timeline_figure + "\n\n" + _render_degraded(degraded)
     return ExperimentOutput(
@@ -169,4 +163,14 @@ def run(repetitions: int = 30, seed: int = 0, progress=None) -> ExperimentOutput
     )
 
 
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, default_repetitions=30, specs=specs))
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        run,
+        default_repetitions=30,
+        specs=specs,
+        options=EngineOptions(fault_schedule=degraded_schedule()),
+    )
+)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from ..analysis.lessons import evaluate_lessons
 from ..calibration.plafrim import scenario1
-from ..engine.base import EngineOptions
 from ..figures.ascii import render_table
 from ..methodology.records import RecordStore
-from .common import ExperimentOutput, run_specs
-from .registry import ExperimentInfo, register
-from . import exp_nodes, exp_nodes_stripes, exp_ppn, exp_sharing, exp_stripecount
+from .common import ExperimentOutput
+from .registry import ExperimentInfo, get_experiment, register
+from . import exp_ppn, exp_sharing
 
 EXP_ID = "lessons"
 TITLE = "Lessons 1-7: programmatic verdicts on every in-text claim"
@@ -23,20 +22,19 @@ PAPER_REF = "Sections IV-A to IV-D (lesson boxes)"
 
 
 def gather_stores(repetitions: int, seed: int, progress=None) -> dict[str, RecordStore]:
-    """Run the experiments the lessons need, at the given repetitions."""
-    fig4 = run_specs(exp_nodes.specs(), repetitions=repetitions, seed=seed, progress=progress)
-    fig5 = run_specs(
-        exp_ppn.specs(scenarios=("scenario2",)), repetitions=repetitions, seed=seed, progress=progress
-    )
-    fig6 = run_specs(exp_stripecount.specs(), repetitions=repetitions, seed=seed, progress=progress)
-    fig11 = run_specs(exp_nodes_stripes.specs(), repetitions=repetitions, seed=seed, progress=progress)
-    fig13 = run_specs(
-        exp_sharing.specs(),
-        repetitions=repetitions,
-        seed=seed,
-        options=EngineOptions(interleaved_creations=(0, 1, 2)),
-        progress=progress,
-    )
+    """Run the experiments the lessons need, at the given repetitions.
+
+    Each is its registered campaign (fig5 restricted to scenario 2).
+    """
+
+    def campaign(exp_id: str, specs=None) -> RecordStore:
+        return get_experiment(exp_id).campaign(repetitions, seed, progress, specs=specs)
+
+    fig4 = campaign("fig4")
+    fig5 = campaign("fig5", exp_ppn.specs(scenarios=("scenario2",)))
+    fig6 = campaign("fig6")
+    fig11 = campaign("fig11")
+    fig13 = campaign("fig13")
     shared, distinct = exp_sharing.split_groups(fig13)
     return {
         "fig4_s1": fig4.filter(scenario="scenario1"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..figures.ascii import render_table, series_panel
 from ..methodology.plan import ExperimentSpec
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig4"
@@ -70,16 +70,14 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, scenarios=("scenario1", "scenario2"), progress=None) -> ExperimentOutput:
-    records = run_specs(specs(tuple(scenarios)), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes="Paper anchors: ~880->~1460 MiB/s (s1, plateau at 4 nodes); "
         "~1630->~6100 MiB/s (s2, plateau at 16 nodes).",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

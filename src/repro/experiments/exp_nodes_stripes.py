@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..figures.ascii import render_table, series_panel
 from ..methodology.plan import ExperimentSpec
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig11"
@@ -66,15 +66,13 @@ def render(records) -> str:
     return panel + "\n\n" + table
 
 
-def run(repetitions: int = 100, seed: int = 0, progress=None) -> ExperimentOutput:
-    records = run_specs(specs(), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes="Higher stripe counts reach higher peaks but need more nodes to get there.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..figures.ascii import render_table
 from ..methodology.plan import ExperimentSpec
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "patterns"
@@ -77,17 +77,15 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, scenarios=("scenario1", "scenario2"), progress=None) -> ExperimentOutput:
-    records = run_specs(specs(tuple(scenarios)), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes="N-N spreads consecutive files over all targets, so its bandwidth "
         "should be insensitive to the per-file stripe count and match N-1's "
         "best case at every count.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..figures.ascii import render_table
 from ..methodology.plan import ExperimentSpec
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "read"
@@ -62,16 +62,14 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, scenarios=("scenario1", "scenario2"), progress=None) -> ExperimentOutput:
-    records = run_specs(specs(tuple(scenarios)), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes="Expected: identical shapes to the write study; reads slightly "
         "faster where storage-bound, identical where network-bound.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

@@ -30,7 +30,7 @@ from ..service import BuiltScenario, register_builder
 from ..stats.summary import describe
 from ..topology.builders import build_platform, plafrim_spec
 from ..workload.generator import single_application
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "scaleout"
@@ -136,19 +136,17 @@ def render(records: RecordStore) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 40, seed: int = 0, progress=None) -> ExperimentOutput:
-    records = run_specs(
-        specs(), repetitions=repetitions, seed=seed, builder="scaleout", progress=progress
-    )
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        default_repetitions=40,
+        specs=specs,
+        render=render,
+        builder="scaleout",
         notes="The maximum stripe count should win at every deployment size; "
         "balanced >= round-robin at partial counts; with 32 fixed nodes the "
         "biggest deployment is increasingly node-starved (Lesson 1 at scale).",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, default_repetitions=40, specs=specs))
+)

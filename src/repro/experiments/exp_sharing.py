@@ -21,8 +21,8 @@ from ..figures.ascii import box_panel, render_table
 from ..methodology.plan import ExperimentSpec
 from ..methodology.records import RecordStore
 from ..stats.boxplot import boxplot_stats
-from ..stats.tests import ks_normality, welch_ttest
-from .common import ExperimentOutput, run_specs, sweep
+from ..stats.tests import KS_MIN_SAMPLES, WELCH_MIN_SAMPLES, ks_normality, welch_ttest
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig13"
@@ -68,42 +68,67 @@ def run_mean_bandwidths(store: RecordStore) -> np.ndarray:
     return np.array([float(np.mean([app["bw_mib_s"] for app in r.apps])) for r in store])
 
 
+def _mean_std(values: np.ndarray) -> list[str]:
+    mean = f"{np.mean(values):.0f}" if values.size else "-"
+    std = f"{np.std(values, ddof=1):.0f}" if values.size >= 2 else "-"
+    return [mean, std]
+
+
+def _ks_pvalue(values: np.ndarray) -> str:
+    return f"{ks_normality(values).pvalue:.3f}" if values.size >= KS_MIN_SAMPLES else "-"
+
+
 def render(records: RecordStore) -> str:
+    """Boxplots, the KS/Welch table and the verdict.
+
+    A short campaign can leave a group with too few runs for a
+    statistic, or with none; that statistic shows ``-``.
+    """
     shared, distinct = split_groups(records)
     other = len(records) - len(shared) - len(distinct)
     a, b = app_bandwidths(shared), app_bandwidths(distinct)
-    panel = box_panel(
-        {"all shared": boxplot_stats(a), "all distinct": boxplot_stats(b)},
-        "Fig 13: individual app bandwidth, 2 apps x 4 OSTs each",
-    )
-    welch = welch_ttest(run_mean_bandwidths(shared), run_mean_bandwidths(distinct))
+    boxes = {
+        label: boxplot_stats(values)
+        for label, values in (("all shared", a), ("all distinct", b))
+        if values.size
+    }
+    parts = []
+    if boxes:
+        parts.append(box_panel(boxes, "Fig 13: individual app bandwidth, 2 apps x 4 OSTs each"))
+    runs_a, runs_b = run_mean_bandwidths(shared), run_mean_bandwidths(distinct)
+    welch = None
+    welch_cells = ["-", "-"]
+    if min(runs_a.size, runs_b.size) >= WELCH_MIN_SAMPLES:
+        welch = welch_ttest(runs_a, runs_b)
+        welch_cells = [f"{welch.pvalue:.4f}", welch.detail]
     rows = [
-        ["runs: all shared", len(shared), f"{np.mean(a):.0f}", f"{np.std(a, ddof=1):.0f}"],
-        ["runs: all distinct", len(distinct), f"{np.mean(b):.0f}", f"{np.std(b, ddof=1):.0f}"],
+        ["runs: all shared", len(shared), *_mean_std(a)],
+        ["runs: all distinct", len(distinct), *_mean_std(b)],
         ["runs: partial overlap", other, "-", "-"],
-        ["KS normality p (shared)", "-", f"{ks_normality(a).pvalue:.3f}", "-"],
-        ["KS normality p (distinct)", "-", f"{ks_normality(b).pvalue:.3f}", "-"],
-        ["Welch t-test p", "-", f"{welch.pvalue:.4f}", welch.detail],
+        ["KS normality p (shared)", "-", _ks_pvalue(a), "-"],
+        ["KS normality p (distinct)", "-", _ks_pvalue(b), "-"],
+        ["Welch t-test p", "-", *welch_cells],
     ]
-    verdict = (
-        "means NOT significantly different (cannot reject equality)"
-        if not welch.rejects_at(0.05)
-        else "means significantly different"
-    )
-    return panel + "\n\n" + render_table(["quantity", "n", "value", "detail"], rows) + f"\n\n=> {verdict}"
+    parts.append(render_table(["quantity", "n", "value", "detail"], rows))
+    if welch is None:
+        verdict = f"too few runs for a Welch t-test (needs {WELCH_MIN_SAMPLES} per group)"
+    elif not welch.rejects_at(0.05):
+        verdict = "means NOT significantly different (cannot reject equality)"
+    else:
+        verdict = "means significantly different"
+    parts.append(f"=> {verdict}")
+    return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, progress=None) -> ExperimentOutput:
-    options = EngineOptions(interleaved_creations=(0, 1, 2))
-    records = run_specs(specs(), repetitions=repetitions, seed=seed, options=options)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
+        options=EngineOptions(interleaved_creations=(0, 1, 2)),
         notes="Paper: Welch p = 0.9031; sharing all four OSTs is indistinguishable "
         "from sharing none (Lesson 7). ~1/3 of runs share all targets.",
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

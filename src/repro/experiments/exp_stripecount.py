@@ -19,7 +19,7 @@ from ..methodology.plan import ExperimentSpec
 from ..stats.bimodality import is_bimodal
 from ..stats.boxplot import boxplot_stats
 from ..stats.summary import describe
-from .common import ExperimentOutput, run_specs, sweep
+from .common import sweep
 from .registry import ExperimentInfo, register
 
 EXP_ID = "fig6"
@@ -98,19 +98,17 @@ def render(records) -> str:
     return "\n\n".join(parts)
 
 
-def run(repetitions: int = 100, seed: int = 0, scenarios=("scenario1", "scenario2"), progress=None) -> ExperimentOutput:
-    records = run_specs(specs(tuple(scenarios)), repetitions=repetitions, seed=seed, progress=progress)
-    return ExperimentOutput(
-        exp_id=EXP_ID,
-        title=TITLE,
-        records=records,
-        figure=render(records),
+register(
+    ExperimentInfo(
+        EXP_ID,
+        TITLE,
+        PAPER_REF,
+        specs=specs,
+        render=render,
         notes=(
             "Scenario 1: peak only at stripe counts 2, 6, 8; bi-modal at 2/3/5/6; "
             "(1,3) of count 4 ~49% below (3,3). Scenario 2: near-linear growth "
             "~1764 -> ~8064 MiB/s; balanced placements ~10% above unbalanced."
         ),
     )
-
-
-register(ExperimentInfo(EXP_ID, TITLE, PAPER_REF, run, specs=specs))
+)

@@ -7,15 +7,18 @@ size, deployment builder) become one frozen
 :class:`~repro.scenario.spec.ScenarioSpec`.  The factor vocabulary the
 paper's experiments sweep lives here too, as
 :func:`default_apps_builder` — the standard interpretation of a factor
-dict as IOR applications on a topology.
+dict as IOR applications on a topology.  :func:`compile_campaign` is
+the campaign-level pass: the plan plus one scenario per spec, shared by
+local (``run_specs``) and remote (``remote_run_specs``) campaigns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..engine.base import EngineOptions
-from ..methodology.plan import ExperimentSpec
+from ..methodology.plan import ExperimentPlan, ExperimentSpec
+from ..methodology.protocol import ProtocolConfig
 from ..topology.graph import Topology
 from ..units import GiB, MiB
 from ..workload.application import Application
@@ -23,7 +26,7 @@ from ..workload.generator import concurrent_applications, single_application
 from ..workload.patterns import pattern_by_name
 from .spec import ScenarioSpec
 
-__all__ = ["compile_scenario", "default_apps_builder"]
+__all__ = ["compile_campaign", "compile_scenario", "default_apps_builder"]
 
 
 def default_apps_builder(topology: Topology, factors: Mapping[str, Any]) -> list[Application]:
@@ -96,3 +99,27 @@ def compile_scenario(
         max_nodes=int(max_nodes),
         options=options,
     )
+
+
+def compile_campaign(
+    specs: Sequence[ExperimentSpec],
+    repetitions: int,
+    *,
+    seed: int = 0,
+    options: EngineOptions = EngineOptions(),
+    max_nodes: int = 32,
+    builder: str = "standard",
+) -> tuple[ExperimentPlan, dict[str, ScenarioSpec]]:
+    """A sweep's protocol plan and its compiled scenarios, keyed by spec.
+
+    The plan follows :meth:`ProtocolConfig.for_repetitions`; every spec
+    is lowered once with the same campaign knobs.
+    """
+    plan = ExperimentPlan.build(specs, ProtocolConfig.for_repetitions(repetitions), seed=seed)
+    scenarios = {
+        spec.key: compile_scenario(
+            spec, seed=seed, options=options, max_nodes=max_nodes, builder=builder
+        )
+        for spec in specs
+    }
+    return plan, scenarios

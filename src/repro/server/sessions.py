@@ -1,14 +1,13 @@
 """Per-client session leases, journaled through the WAL.
 
 A session is the server's memory of one client: an id the client quotes
-on every request, a wall-clock lease renewed by any request (heartbeats
-included), and the set of jobs it submitted.  Sessions are journaled to
-an fsync'd WAL (the same :class:`~repro.orchestrator.journal.Journal`
-the job queue uses) so a server crash mid-campaign restarts with its
-client table intact: a client that reconnects and quotes its old id
-resumes its session if the lease is still live, and is handed a fresh
-one otherwise — either way its *jobs* survived in the job queue, so
-nothing re-executes.
+on every request and a wall-clock lease renewed by any request
+(heartbeats included).  Sessions are journaled to an fsync'd WAL (the
+same :class:`~repro.orchestrator.journal.Journal` the job queue uses)
+so a server crash mid-campaign restarts with its client table intact:
+a client that reconnects and quotes its old id resumes its session if
+the lease is still live, and is handed a fresh one otherwise — either
+way its *jobs* survived in the job queue, so nothing re-executes.
 
 Eviction is heartbeat-based: the server's reaper sweeps
 :meth:`SessionRegistry.expire` and any session whose lease has lapsed

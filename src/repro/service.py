@@ -11,8 +11,9 @@ The service owns:
 * the **builder registry**: how a spec's ``builder`` name turns into a
   constructed engine + topology + application factory.  ``"standard"``
   (the paper's PlaFRIM deployment) is built in; experiment modules with
-  bespoke platforms (e.g. the fig-10 scale-out sweep) register theirs
-  via :func:`register_builder`;
+  bespoke platforms (e.g. the scale-out sweep) register theirs via
+  :func:`register_builder`, and a spec naming a builder not yet
+  registered loads the experiment registry first;
 * an **engine context cache** keyed on the spec fingerprint, shared
   process-wide, so a 100-repetition campaign pays engine construction
   once and every later rep (a replay check's second run included) runs
@@ -349,6 +350,13 @@ class SimulationService:
         ctx = self._contexts.get(key)
         if ctx is None:
             builder = _BUILDERS.get(spec.builder)
+            if builder is None:
+                # Experiment modules register their builders on import,
+                # which a process that only serves specs has not done.
+                from .experiments.registry import list_experiments
+
+                list_experiments()
+                builder = _BUILDERS.get(spec.builder)
             if builder is None:
                 known = ", ".join(sorted(_BUILDERS))
                 raise ConfigError(

@@ -17,7 +17,11 @@ from scipy import stats as sps
 
 from ..errors import AnalysisError
 
-__all__ = ["TestResult", "welch_ttest", "ks_normality"]
+__all__ = ["KS_MIN_SAMPLES", "TestResult", "WELCH_MIN_SAMPLES", "welch_ttest", "ks_normality"]
+
+# The smallest samples each test accepts (per group for Welch).
+WELCH_MIN_SAMPLES = 2
+KS_MIN_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ def _sample(values: object, minimum: int, what: str) -> np.ndarray:
 
 def welch_ttest(a: object, b: object) -> TestResult:
     """Welch's two-sample t-test (unequal variances), two-sided."""
-    x = _sample(a, 2, "Welch t-test")
-    y = _sample(b, 2, "Welch t-test")
+    x = _sample(a, WELCH_MIN_SAMPLES, "Welch t-test")
+    y = _sample(b, WELCH_MIN_SAMPLES, "Welch t-test")
     stat, p = sps.ttest_ind(x, y, equal_var=False)
     # Welch-Satterthwaite degrees of freedom, reported for completeness.
     vx, vy = x.var(ddof=1) / x.size, y.var(ddof=1) / y.size
@@ -72,7 +76,7 @@ def ks_normality(values: object) -> TestResult:
     plain KS p-value is conservative; that is the direction that makes
     "normality not rejected" a safe conclusion.)
     """
-    arr = _sample(values, 4, "KS normality test")
+    arr = _sample(values, KS_MIN_SAMPLES, "KS normality test")
     sigma = arr.std(ddof=1)
     if sigma == 0:
         raise AnalysisError("KS normality test on a constant sample")

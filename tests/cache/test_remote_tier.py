@@ -89,14 +89,6 @@ class TestRemoteTierRoundTrip:
             assert tally["puts"] == 1 and tally["get_hits"] == 1
             assert tally["get_misses"] == 1
 
-    def test_gc_refused_client_side(self):
-        tier = RemoteTier("127.0.0.1", 1)
-        try:
-            with pytest.raises(ConfigError):
-                tier.gc(0)
-        finally:
-            tier.close()
-
 
 class TestServiceThroughRemote:
     def test_warm_from_remote_backfills_local(self, tmp_path):

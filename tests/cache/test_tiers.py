@@ -123,19 +123,6 @@ class TestMemoryTier:
         assert len(tier) == 2
         assert tier.stats()["bytes"] <= 2 * one + 1
 
-    def test_gc_dry_run_predicts_real_pass(self):
-        tier = MemoryTier()
-        for rep in range(4):
-            tier.store_entry(_entry(rep=rep, pad=50))
-        predicted = tier.gc(0, dry_run=True)
-        assert len(tier) == 4  # dry run deleted nothing
-        actual = tier.gc(0)
-        assert (predicted["evicted"], predicted["freed_bytes"]) == (
-            actual["evicted"],
-            actual["freed_bytes"],
-        )
-        assert len(tier) == 0
-
     def test_drop_and_clear(self):
         tier = MemoryTier()
         entry = _entry()
@@ -292,13 +279,6 @@ class TestTieredCache:
         cold = result_from_jsonable(result_to_jsonable(cold))
         warm = result_from_jsonable(tiers.lookup(spec, 0)["result"])
         assert result_fingerprint(warm) == result_fingerprint(cold)
-
-    def test_gc_routing(self, tmp_path):
-        tiers = TieredCache(disk=ResultCache(tmp_path), memory=MemoryTier())
-        assert tiers.gc(0, tier="disk")["evicted"] == 0
-        assert tiers.gc(0, tier="memory")["evicted"] == 0
-        with pytest.raises(ConfigError):
-            tiers.gc(0, tier="tape")
 
     def test_stats_names_every_tier(self, tmp_path):
         tiers = TieredCache(disk=ResultCache(tmp_path), memory=MemoryTier())

@@ -142,9 +142,8 @@ def _declarative_specs():
     for info in list_experiments():
         if info.specs is None:
             continue
-        builder = "scaleout" if info.exp_id == "scaleout" else "standard"
         for spec in info.specs():
-            yield spec, builder
+            yield spec, info.builder
 
 
 def test_volume_per_target_is_the_files_striping():

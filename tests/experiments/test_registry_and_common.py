@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.common import default_apps_builder
 from repro.methodology.plan import ExperimentSpec
+from repro.methodology.runner import ProtocolRunner
 from repro.scenario.compile import compile_scenario
 from repro.service import ServiceExecutor, SimulationService
 from repro.topology.builders import plafrim_omnipath
@@ -36,6 +38,46 @@ class TestRegistry:
         for info in list_experiments():
             assert info.paper_ref
             assert callable(info.run)
+
+    def test_fig13_reports_progress(self):
+        messages = []
+        get_experiment("fig13").run(repetitions=2, seed=0, progress=messages.append)
+        assert messages
+
+
+SWEEPS = sorted(info.exp_id for info in list_experiments() if info.specs is not None)
+
+
+class _Planned(Exception):
+    """Stops a campaign once its runner has the plan and the scenarios."""
+
+
+def _planned_fingerprints(monkeypatch, launch):
+    """The scenario fingerprints a campaign would execute, in plan order."""
+    seen = []
+
+    def capture(self, plan, progress=None):
+        seen.extend(self.executor.scenarios[run.spec.key].fingerprint for run in plan)
+        raise _Planned
+
+    monkeypatch.setattr(ProtocolRunner, "run", capture)
+    with pytest.raises(_Planned):
+        launch()
+    return seen
+
+
+class TestOneCampaignDefinition:
+    """``repro submit`` compiles the scenarios ``repro run`` executes."""
+
+    @pytest.mark.parametrize("exp_id", SWEEPS)
+    def test_submit_plans_the_scenarios_run_sends(self, monkeypatch, exp_id):
+        args = ["--reps", "2", "--seed", "3", "--quiet"]
+        local = _planned_fingerprints(monkeypatch, lambda: main(["run", exp_id, *args]))
+        remote = _planned_fingerprints(
+            monkeypatch,
+            lambda: main(["submit", exp_id, "--remote", "127.0.0.1:9", "--no-fallback", *args]),
+        )
+        assert local and remote == local
 
 
 class TestDefaultAppsBuilder:

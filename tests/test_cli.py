@@ -305,3 +305,100 @@ class TestProtocolOptions:
             with protocol_options(on_error="skip"):
                 raise RuntimeError("boom")
         assert "on_error" not in _RUNNER_OVERRIDES
+
+
+class TestShortCampaigns:
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_fig13_renders_and_archives_too_few_runs_per_group(self, tmp_path, capsys, reps):
+        out = tmp_path / "out"
+        args = ["run", "fig13", "--reps", str(reps), "--seed", "0", "--no-cache"]
+        assert main([*args, "--out", str(out), "--quiet"]) == 0
+        assert "too few runs for a Welch t-test" in capsys.readouterr().out
+        assert len((out / "fig13.csv").read_text().splitlines()) == 1 + reps
+
+
+class TestSubmitCommand:
+    """A submitted campaign is the registered one ``run`` executes."""
+
+    @staticmethod
+    def _submit_and_run(tmp_path, exp_id, reps):
+        from repro.server import ServerConfig
+        from repro.server.netchaos import serve_in_thread
+
+        common = ["--reps", str(reps), "--seed", "0", "--quiet"]
+        with serve_in_thread(ServerConfig(state_dir=tmp_path / "state", workers=2)) as server:
+            remote = ["submit", exp_id, "--remote", f"127.0.0.1:{server.port}", "--no-fallback"]
+            assert main([*remote, *common, "--out", str(tmp_path / "remote")]) == 0
+        assert main(["run", exp_id, *common, "--no-cache", "--out", str(tmp_path / "local")]) == 0
+        return (
+            (tmp_path / "remote" / f"{exp_id}.csv").read_bytes(),
+            (tmp_path / "local" / f"{exp_id}.csv").read_bytes(),
+        )
+
+    @pytest.mark.parametrize("exp_id,reps", [("fig13", 6), ("scaleout", 1)])
+    def test_submit_writes_the_run_csv(self, tmp_path, exp_id, reps):
+        remote, local = self._submit_and_run(tmp_path, exp_id, reps)
+        assert remote == local
+
+    def test_faults_submit_is_the_run_csv_without_the_timeline(self, tmp_path):
+        remote, local = self._submit_and_run(tmp_path, "faults", 2)
+        local_lines = local.splitlines(keepends=True)
+        # run's store starts with the healthy and outage timeline runs.
+        assert all(b'""stage"": ""timeline""' in line for line in local_lines[1:3])
+        assert remote == b"".join(local_lines[:1] + local_lines[3:])
+
+
+class TestCacheCommands:
+    """``cache gc`` and ``cache stats`` over a disk tier filled by hand."""
+
+    SIZE = 400  # bytes per entry file
+
+    def _fill(self, root, count):
+        """``count`` entries of SIZE bytes, oldest mtime first."""
+        import json
+        import os
+
+        from repro.cache import CACHE_SCHEMA, ResultCache
+        from repro.scenario import MODEL_REVISION
+
+        paths = []
+        for i in range(count):
+            entry = {
+                "schema": CACHE_SCHEMA,
+                "fingerprint": f"{i:02x}" * 8,
+                "model_revision": MODEL_REVISION,
+                "engine": "fluid",
+                "rep": 0,
+                "result": {"pad": ""},
+            }
+            entry["result"]["pad"] = "x" * (self.SIZE - len(json.dumps(entry)))
+            path = ResultCache(root).store_entry(entry)
+            assert path.stat().st_size == self.SIZE
+            os.utime(path, (1_000_000 + i, 1_000_000 + i))
+            paths.append(path)
+        return paths
+
+    def test_gc_evicts_oldest_first_down_to_the_bound(self, tmp_path, capsys):
+        paths = self._fill(tmp_path, 5)
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--max-bytes", "1KiB"]) == 0
+        assert [p.exists() for p in paths] == [False, False, False, True, True]
+        out = capsys.readouterr().out
+        assert "5 entr(y/ies) scanned, 3 evicted (1200 bytes freed), 800 bytes remain" in out
+
+    def test_gc_dry_run_deletes_nothing(self, tmp_path, capsys):
+        paths = self._fill(tmp_path, 5)
+        args = ["cache", "gc", "--cache-dir", str(tmp_path), "--max-bytes", "1KiB", "--dry-run"]
+        assert main(args) == 0
+        assert all(p.exists() for p in paths)
+        out = capsys.readouterr().out
+        assert "(dry run)" in out
+        assert "3 would be evicted (1200 bytes would be freed), 800 bytes would remain" in out
+
+    def test_stats_reports_disk_occupancy_and_quarantine(self, tmp_path, capsys):
+        paths = self._fill(tmp_path, 3)
+        paths[0].rename(paths[0].with_name(paths[0].name + ".corrupt"))
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        disk = next(
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("disk:")
+        )
+        assert "entries=2, bytes=1200, corrupt=1" in disk
