@@ -1,8 +1,8 @@
 """Tracked performance benchmarks of the simulation hot paths.
 
 ``beegfs-repro bench`` times the layers the campaign cost is made of —
-the max-min solver, one fluid-engine run, per-tier cache-hit replay
-(hot vs disk), and a full protocol campaign (serial and parallel) —
+the max-min solver, one fluid-engine run, cache-hit replay from disk,
+and a full protocol campaign (serial and parallel) —
 and writes a ``BENCH_<rev>.json``
 report next to the committed baseline, so performance regressions are
 caught the same way correctness regressions are.
@@ -277,14 +277,12 @@ def bench_campaign(
 
 
 def bench_cache(quick: bool = False) -> dict[str, dict[str, Any]]:
-    """Cache-hit latency per tier: hot (memory) vs disk.
+    """Cache-hit latency from the disk tier.
 
-    One run populates a throwaway cache; hot hits then replay from the
-    in-process LRU, and disk hits are forced by dropping the hot tier
-    before each lookup.  Both legs time the full ``service.run`` hit
-    path (replayed events included), so the gap is exactly what tiering
-    buys a warm campaign.  Cheap enough to run at full fidelity in
-    quick mode.
+    One run populates a throwaway cache; every later run of the same
+    (spec, rep) replays from disk.  The timing covers the full
+    ``service.run`` hit path (replayed events included).  Cheap enough
+    to run at full fidelity in quick mode.
     """
     import tempfile as _tempfile
 
@@ -299,30 +297,15 @@ def bench_cache(quick: bool = False) -> dict[str, dict[str, Any]]:
     batches = 3
     with _tempfile.TemporaryDirectory(prefix="bench-cache-") as tmp:
         svc.run(scenario, 0, cache=True, cache_dir=tmp)  # populate, cold
-        svc.run(scenario, 0, cache=True, cache_dir=tmp)  # warm the hot tier
 
-        def timed_hot() -> float:
+        def timed_disk() -> float:
             start = time.perf_counter()
             for _ in range(hits):
                 svc.run(scenario, 0, cache=True, cache_dir=tmp)
             return (time.perf_counter() - start) / hits
 
-        def timed_disk() -> float:
-            elapsed = 0.0
-            for _ in range(hits):
-                svc.drop_memory_tiers(tmp)
-                start = time.perf_counter()
-                svc.run(scenario, 0, cache=True, cache_dir=tmp)
-                elapsed += time.perf_counter() - start
-            return elapsed / hits
-
-        hot = _best_of(timed_hot, batches)
         disk = _best_of(timed_disk, batches)
-        svc.drop_memory_tiers(tmp)
-    return {
-        "cache.hot_hit_us": _metric(hot * 1e6, "us/hit", "lower"),
-        "cache.disk_hit_us": _metric(disk * 1e6, "us/hit", "lower"),
-    }
+    return {"cache.disk_hit_us": _metric(disk * 1e6, "us/hit", "lower")}
 
 
 # -- report --------------------------------------------------------------------

@@ -4,13 +4,9 @@ A cache **entry** is a plain JSON-able dict, self-describing through
 its header fields (``schema``, ``fingerprint``, ``model_revision``,
 ``engine``, ``rep``) with the full spec embedded, the codec-normalized
 result, and the run's captured telemetry events.  Every tier stores and
-returns whole entries, so promotion between tiers is a byte-faithful
-copy and a fingerprint collision with a *different* spec stays
-detectable no matter which tier served it.
-
-Entries are treated as immutable once constructed: the memory tier
-hands out the same dict object on every hit, and the replay path only
-reads from it.
+returns whole entries, so a remote hit back-fills the local disk with a
+byte-faithful copy and a fingerprint collision with a *different* spec
+stays detectable no matter which tier served it.
 """
 
 from __future__ import annotations
@@ -97,8 +93,8 @@ def validate_entry(
     """Is ``entry`` a well-formed cache entry (optionally for this key)?
 
     Header validation only — the embedded result is decoded lazily by
-    the consumer.  Used on every tier boundary: a disk read, a wire
-    frame from a remote peer, a promotion into the memory tier.
+    the consumer.  Used on every tier boundary: a disk read, a disk
+    write, a wire frame from a remote peer.
     """
     if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
         return False

@@ -1,25 +1,23 @@
-"""The tier composite: memory → disk → remote, promotion and degradation.
+"""The tier composite: disk → remote, back-fill and degradation.
 
-Lookup walks the tiers fast → slow.  A hit in a slower tier is promoted
-into every faster tier on the way out; a miss falls through.  Stores
-write the disk tier **first** — an ``OSError`` there propagates to the
-service's breaker/tally accounting exactly as it did before tiering
-existed — then admit the entry to the memory tier and enqueue the
+Lookup probes the disk tier, then the remote tier when one is
+configured; a remote hit back-fills the local disk on the way out.
+Stores write the disk tier **first** — an ``OSError`` there propagates
+to the service's breaker/tally accounting — and only then enqueue the
 write-behind remote put.
 
 Degradation is per tier:
 
-* the **disk** tier's breaker is owned by the service (it predates this
-  package): while it is open the service runs cache-off entirely, so
-  the composite never sees a lookup — an unreadable disk tier means
-  results cannot be stored, and serving hot hits anyway would diverge
-  the tallies chaos asserts on;
+* the **disk** tier's breaker is owned by the service: while it is
+  open the service runs cache-off entirely, so the composite never
+  sees a lookup — an unreadable disk tier means results cannot be
+  stored, and serving remote hits anyway would diverge the tallies
+  chaos asserts on;
 * the **remote** tier has its own breaker, owned here: a transport
   fault counts one ``error`` probe, strikes the breaker, and the lookup
   degrades to a local miss.  While open, probes are skipped
   (``degraded``) until the cooldown's half-open probe.  Remote faults
   never propagate.
-* the **memory** tier cannot fault (it is a dict); it needs no breaker.
 
 The module-level :func:`tier_stats` tally counts per-tier *probes*
 (hit / miss / error / degraded) — diagnostic, per-process, and distinct
@@ -35,13 +33,12 @@ from ..orchestrator.supervise import CircuitBreaker
 from ..scenario import ScenarioSpec
 from ..telemetry.bus import get_bus
 from .disk import ResultCache
-from .memory import MemoryTier
 from .remote import RemoteTier
 from .tier import EntryKey
 
 __all__ = ["TieredCache", "tier_stats", "reset_tier_stats"]
 
-_TIER_NAMES = ("memory", "disk", "remote")
+_TIER_NAMES = ("disk", "remote")
 _TALLY_KEYS = ("hit", "miss", "error", "degraded")
 
 _TIER_STATS: dict[str, dict[str, int]] = {
@@ -66,23 +63,20 @@ def _tick(tier: str, status: str) -> None:
 
 
 class TieredCache:
-    """One composed view over (memory, disk, remote) for one cache root.
+    """One composed view over (disk, remote) for one cache root.
 
-    Cheap to construct per call: the tiers themselves (and the remote
-    breaker) are persistent, service-owned state; this object only
-    binds them together, mirroring how the service always built a fresh
-    ``ResultCache`` per run.
+    Cheap to construct per call: the remote tier and its breaker are
+    persistent, service-owned state; this object only binds them to a
+    fresh ``ResultCache`` for the root.
     """
 
     def __init__(
         self,
         disk: ResultCache,
-        memory: MemoryTier | None = None,
         remote: RemoteTier | None = None,
         remote_breaker: CircuitBreaker | None = None,
     ):
         self.disk = disk
-        self.memory = memory
         self.remote = remote
         self.remote_breaker = remote_breaker or CircuitBreaker()
 
@@ -123,29 +117,20 @@ class TieredCache:
     # -- the tier walk -----------------------------------------------------
 
     def lookup(self, spec: ScenarioSpec, rep: int) -> dict[str, Any] | None:
-        """The entry for (spec, rep) from the fastest tier that holds it.
+        """The entry for (spec, rep) from the disk tier, else the remote one.
 
         Disk ``OSError`` propagates (the service counts it and strikes
         its breaker, unchanged).  Remote faults degrade to a miss.
         """
-        bus = get_bus()
-        if self.memory is not None:
-            entry = self.memory.lookup(spec, rep)
-            if entry is not None:
-                _tick("memory", "hit")
-                return entry
-            _tick("memory", "miss")
-
         entry = self.disk.load(spec, rep)
         if entry is not None:
             _tick("disk", "hit")
-            if self.memory is not None:
-                self.memory.store_entry(entry)
             return entry
         _tick("disk", "miss")
 
         if self.remote is None:
             return None
+        bus = get_bus()
         if not self.remote_breaker.allow():
             _tick("remote", "degraded")
             self._emit_tier(bus, "degraded")
@@ -162,8 +147,6 @@ class TieredCache:
             return None
         _tick("remote", "hit")
         self._backfill_disk(entry)
-        if self.memory is not None:
-            self.memory.store_entry(entry)
         return entry
 
     def lookup_many(
@@ -171,39 +154,24 @@ class TieredCache:
     ) -> dict[EntryKey, dict[str, Any]]:
         """Bulk lookup across the tiers (the prefetch path).
 
-        Memory answers first; the remainder goes through the disk
-        tier's one-scandir-per-fingerprint bulk pass; what is still
-        missing is fetched from the remote tier in batched frames and
-        back-filled.  Like the original bulk path, I/O errors leave
-        jobs as misses — authoritative breaker/tally accounting stays
-        per-run.
+        The disk tier's one-scandir-per-fingerprint bulk pass answers
+        first; what is still missing is fetched from the remote tier in
+        batched frames and back-filled.  I/O errors leave jobs as
+        misses — authoritative breaker/tally accounting stays per-run.
         """
-        bus = get_bus()
-        out: dict[EntryKey, dict[str, Any]] = {}
         pending = [(spec, int(rep)) for spec, rep in jobs]
-        if self.memory is not None and pending:
-            hits = self.memory.lookup_many(pending)
-            for key, entry in hits.items():
-                _tick("memory", "hit")
-                out[key] = entry
-            pending = [
-                (spec, rep)
-                for spec, rep in pending
-                if (spec.fingerprint, spec.engine, rep) not in out
-            ]
-        if pending:
-            hits = self.disk.load_many(pending)
-            for key, entry in hits.items():
-                _tick("disk", "hit")
-                out[key] = entry
-                if self.memory is not None:
-                    self.memory.store_entry(entry)
-            pending = [
-                (spec, rep)
-                for spec, rep in pending
-                if (spec.fingerprint, spec.engine, rep) not in out
-            ]
+        if not pending:
+            return {}
+        out = self.disk.load_many(pending)
+        for _ in out:
+            _tick("disk", "hit")
+        pending = [
+            (spec, rep)
+            for spec, rep in pending
+            if (spec.fingerprint, spec.engine, rep) not in out
+        ]
         if pending and self.remote is not None:
+            bus = get_bus()
             if not self.remote_breaker.allow():
                 _tick("remote", "degraded")
                 self._emit_tier(bus, "degraded")
@@ -219,8 +187,6 @@ class TieredCache:
                 _tick("remote", "hit")
                 out[key] = entry
                 self._backfill_disk(entry)
-                if self.memory is not None:
-                    self.memory.store_entry(entry)
         return out
 
     # -- stores ------------------------------------------------------------
@@ -230,12 +196,9 @@ class TieredCache:
 
         Disk first (``OSError`` propagates — the caller's breaker
         accounting is the contract); only an entry the disk tier
-        accepted is admitted to the memory tier or shipped to the
-        remote one.
+        accepted is shipped to the remote one.
         """
         self.disk.store_entry(entry)
-        if self.memory is not None:
-            self.memory.store_entry(entry)
         if self.remote is not None:
             if self.remote_breaker.allow():
                 self.remote.store_entry(entry)
@@ -248,10 +211,7 @@ class TieredCache:
     def stats(self) -> dict[str, dict[str, Any]]:
         """Per-tier occupancy + this process's probe tallies."""
         tallies = tier_stats()
-        out: dict[str, dict[str, Any]] = {}
-        if self.memory is not None:
-            out["memory"] = {**self.memory.stats(), **tallies["memory"]}
-        out["disk"] = {**self.disk.stats(), **tallies["disk"]}
+        out = {"disk": {**self.disk.stats(), **tallies["disk"]}}
         if self.remote is not None:
             out["remote"] = {**self.remote.stats(), **tallies["remote"]}
         return out

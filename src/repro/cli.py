@@ -10,19 +10,20 @@ Subcommands
 [--workers N] [--no-cache] [--cache-dir DIR] [--cache-remote HOST:PORT]``
     Run one experiment (or ``all``), print its figure, optionally
     archive the raw records as CSV — the way the paper publishes its
-    results repository.  ``--on-error skip`` quarantines raising runs
-    instead of aborting the campaign (summarised on stderr, exit code
-    1); ``--checkpoint``/``--resume`` make long campaigns crash-safe
-    and restartable.  ``--verify`` turns on runtime invariant checking
-    inside the engines; a violating run is quarantined like a crash
-    under ``--on-error skip``.  ``--workers N`` executes runs in N
+    results repository.  ``all`` goes on past an experiment that fails
+    and exits 1 at the end, naming every one that did.  ``--on-error
+    skip`` quarantines raising runs instead of aborting the campaign
+    (summarised on stderr, exit code 1); ``--checkpoint``/``--resume``
+    make long campaigns crash-safe and restartable.  ``--verify``
+    turns on runtime invariant checking inside the engines; a violating
+    run is quarantined like a crash under ``--on-error skip``.  ``--workers N`` executes runs in N
     worker processes with byte-identical results.  Previously-simulated
     (configuration, rep) pairs replay from the tiered content-addressed
-    result cache — an in-process hot tier over the on-disk store
-    (``$REPRO_CACHE_DIR`` or ``~/.cache/beegfs-repro``; override with
-    ``--cache-dir``, disable with ``--no-cache``), plus an optional
-    shared remote tier behind a ``repro serve`` instance
-    (``--cache-remote HOST:PORT``; outages degrade to the local tiers).
+    result cache — the on-disk store (``$REPRO_CACHE_DIR`` or
+    ``~/.cache/beegfs-repro``; override with ``--cache-dir``, disable
+    with ``--no-cache``), plus an optional shared remote tier behind a
+    ``repro serve`` instance (``--cache-remote HOST:PORT``; a remote hit
+    back-fills the local disk, and outages degrade to the disk tier).
     A cache summary is printed on stderr after the campaign.
 ``verify [--suite {invariants,conformance,replay,all}] [--level
 {basic,paranoid}] [--reps N] [--seed S] [--golden PATH]
@@ -161,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON checkpoint file, written after every 10 executed runs (cache "
         "hits do not count; a resume re-serves them from the cache) and at the "
-        "end (per-experiment suffix when running 'all')",
+        "end (per-experiment suffix when running 'all', and per sub-campaign "
+        "for 'lessons')",
     )
     run_p.add_argument(
         "--resume",
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="also use a 'repro serve' instance as a shared remote cache "
-        "tier (read-through/write-behind; outages degrade to local tiers)",
+        "tier (read-through/write-behind; outages degrade to the disk tier)",
     )
 
     verify_p = sub.add_parser("verify", help="run the simulation guardrails")
@@ -629,10 +631,11 @@ def _cmd_list() -> int:
 
 def _checkpoint_path_for(base: Path | None, exp_id: str, multiple: bool) -> Path | None:
     """Per-experiment checkpoint file when one invocation runs several."""
+    from .experiments.common import checkpoint_path_for
+
     if base is None or not multiple:
         return base
-    suffix = base.suffix or ".json"
-    return base.with_name(f"{base.stem}.{exp_id}{suffix}")
+    return checkpoint_path_for(base, exp_id)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -649,6 +652,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ids = [i.exp_id for i in list_experiments()] if args.exp_id == "all" else [args.exp_id]
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
     quarantined = 0
+    failed: list[str] = []
     interrupted: CampaignInterrupted | None = None
     interrupted_exp = ids[0]
     stats_before = service.cache_stats()
@@ -685,14 +689,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 reps = args.reps if args.reps is not None else info.default_repetitions
                 kwargs = {"repetitions": reps, "seed": args.seed}
                 print(f"== {info.exp_id}: {info.title} ({info.paper_ref}, {reps} reps) ==")
-                with protocol_options(
-                    on_error=args.on_error,
-                    checkpoint=_checkpoint_path_for(args.checkpoint, exp_id, len(ids) > 1),
-                    resume=args.resume,
-                    validation=args.verify if args.verify != "off" else None,
-                    workers=args.workers if args.workers > 1 else None,
-                ):
-                    output = info.run(progress=progress, **kwargs)
+                try:
+                    with protocol_options(
+                        on_error=args.on_error,
+                        checkpoint=_checkpoint_path_for(args.checkpoint, exp_id, len(ids) > 1),
+                        resume=args.resume,
+                        validation=args.verify if args.verify != "off" else None,
+                        workers=args.workers if args.workers > 1 else None,
+                    ):
+                        output = info.run(progress=progress, **kwargs)
+                except CampaignInterrupted:
+                    raise
+                except ReproError as exc:
+                    # `run all` reports a failing experiment and goes on.
+                    if len(ids) == 1:
+                        raise
+                    print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+                    failed.append(exp_id)
+                    print()
+                    continue
                 print(output.figure)
                 if output.notes:
                     print(f"\nnotes: {output.notes}")
@@ -725,12 +740,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if delta.get("degraded") or delta.get("error"):
         line += ", {degraded} degraded, {error} cache error(s)".format(**delta)
     print(line, file=sys.stderr)
+    if failed:
+        print(
+            f"{len(failed)} of {len(ids)} experiments failed: {', '.join(failed)}",
+            file=sys.stderr,
+        )
     if interrupted is not None:
-        if interrupted.checkpoint is not None:
+        # The experiment's own checkpoint, not the sub-campaign's the
+        # runner names (the lessons audit runs several).
+        checkpoint = _checkpoint_path_for(args.checkpoint, interrupted_exp, len(ids) > 1)
+        if checkpoint is not None:
             print(
                 f"interrupted by {interrupted.signal}; progress checkpointed. "
                 f"resume with: beegfs-repro run {interrupted_exp} "
-                f"--checkpoint {interrupted.checkpoint} --resume",
+                f"--checkpoint {checkpoint} --resume",
                 file=sys.stderr,
             )
         else:
@@ -745,8 +768,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{quarantined} run(s) quarantined; re-run with --resume to retry them",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 1 if quarantined or failed else 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

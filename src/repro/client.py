@@ -1,4 +1,4 @@
-"""The remote-execution client: retries, hedging, graceful degradation.
+"""The remote-execution client: retries, deadlines, graceful degradation.
 
 :class:`RemoteClient` speaks the :mod:`repro.server.protocol` wire
 format to an :class:`~repro.server.app.OrchestratorServer` and makes
@@ -14,9 +14,6 @@ the unreliable network look like the local service:
 * **idempotent resubmission** — a retried submit of the same
   ``(fingerprint, rep)`` attaches to the server's existing job, so
   "did my submit land before the reset?" never needs an answer;
-* **hedging** — a ``wait`` that exceeds ``hedge_after_s`` reconnects
-  and resubmits on a fresh connection (free, by idempotency) in case
-  the original connection is a zombie;
 * **graceful degradation** — when the server stays unreachable past the
   retry budget and ``fallback`` is enabled, the run executes locally
   through :func:`repro.service.get_service` (one ``client.fallback``
@@ -77,7 +74,6 @@ class RemoteClient:
         policy: SupervisionPolicy | None = None,
         max_attempts: int = _DEFAULT_ATTEMPTS,
         deadline_s: float | None = None,
-        hedge_after_s: float | None = None,
         fallback: bool = True,
         priority: str = "batch",
         io_timeout_s: float = 10.0,
@@ -90,14 +86,13 @@ class RemoteClient:
         )
         self.max_attempts = max(1, int(max_attempts))
         self.deadline_s = deadline_s
-        self.hedge_after_s = hedge_after_s
         self.fallback = bool(fallback)
         self.priority = priority
         self.io_timeout_s = float(io_timeout_s)
         self.seed = int(seed)
         self.session_id: str | None = None
         self._sock: socket.socket | None = None
-        self.stats = {"retries": 0, "hedges": 0, "fallbacks": 0}
+        self.stats = {"retries": 0, "fallbacks": 0}
 
     # -- connection management ---------------------------------------------
 
@@ -255,24 +250,12 @@ class RemoteClient:
         """Block until the job finishes; returns the ``result`` frame.
 
         Re-polls on ``pending``; a connection drop resubmits (idempotent)
-        and keeps waiting; past ``hedge_after_s`` it proactively tears
-        the connection down and resubmits on a fresh one.
+        and keeps waiting.
         """
         fp = scenario.fingerprint
-        started = time.monotonic()
-        hedged = False
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 raise RemoteError(f"wait deadline exceeded for ({fp[:12]}, {rep})")
-            if (
-                self.hedge_after_s is not None
-                and not hedged
-                and time.monotonic() - started > self.hedge_after_s
-            ):
-                hedged = True
-                self.stats["hedges"] += 1
-                self._drop()
-                self.submit(scenario, rep, deadline=deadline)
             try:
                 reply = self._call(
                     "wait",
@@ -368,7 +351,6 @@ class RemoteExecutor:
     port: int = 0
     max_attempts: int = _DEFAULT_ATTEMPTS
     deadline_s: float | None = None
-    hedge_after_s: float | None = None
     fallback: bool = True
     priority: str = "batch"
     seed: int = 0
@@ -381,7 +363,6 @@ class RemoteExecutor:
                 self.port,
                 max_attempts=self.max_attempts,
                 deadline_s=self.deadline_s,
-                hedge_after_s=self.hedge_after_s,
                 fallback=self.fallback,
                 priority=self.priority,
                 seed=self.seed,
@@ -416,7 +397,6 @@ def remote_run_specs(
     checkpoint_every: int = 10,
     max_attempts: int = _DEFAULT_ATTEMPTS,
     deadline_s: float | None = None,
-    hedge_after_s: float | None = None,
     fallback: bool = True,
     priority: str = "batch",
 ) -> RecordStore:
@@ -438,7 +418,6 @@ def remote_run_specs(
         port=int(port),
         max_attempts=max_attempts,
         deadline_s=deadline_s,
-        hedge_after_s=hedge_after_s,
         fallback=fallback,
         priority=priority,
         seed=seed,

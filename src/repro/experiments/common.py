@@ -38,6 +38,8 @@ __all__ = [
     "sweep",
     "run_specs",
     "protocol_options",
+    "checkpoint_path_for",
+    "campaign_checkpoint",
     "default_apps_builder",
 ]
 
@@ -136,6 +138,32 @@ def protocol_options(
     finally:
         _RUNNER_OVERRIDES.clear()
         _RUNNER_OVERRIDES.update(previous)
+
+
+def checkpoint_path_for(base: str | Path, exp_id: str) -> Path:
+    """``exp_id``'s own checkpoint file when one ``base`` serves several campaigns.
+
+    ``<stem>.<exp_id><suffix>`` next to ``base`` (suffix ``.json`` when
+    ``base`` has none): ``repro run all`` gives each experiment its own,
+    and the lessons audit each of its sub-campaigns, so no campaign
+    overwrites, or resumes from, another's store.
+    """
+    base = Path(base)
+    return base.with_name(f"{base.stem}.{exp_id}{base.suffix or '.json'}")
+
+
+@contextmanager
+def campaign_checkpoint(exp_id: str) -> Iterator[None]:
+    """Checkpoint the ``run_specs`` calls inside to ``exp_id``'s own file.
+
+    The file is :func:`checkpoint_path_for` the ambient checkpoint;
+    without one, nothing is checkpointed, as before.
+    """
+    base = _RUNNER_OVERRIDES.get("checkpoint")
+    with protocol_options(
+        checkpoint=None if base is None else checkpoint_path_for(base, exp_id)
+    ):
+        yield
 
 
 def run_specs(

@@ -33,10 +33,10 @@ STRIPE_COUNTS = (2, 4, 6, 8)
 NODES = {"scenario1": 8, "scenario2": 32}
 
 
-def specs(scenarios: tuple[str, ...] = ("scenario1", "scenario2")) -> list[ExperimentSpec]:
+def specs() -> list[ExperimentSpec]:
     return sweep(
         EXP_ID,
-        scenario=scenarios,
+        scenario=("scenario1", "scenario2"),
         chooser=CHOOSERS,
         stripe_count=STRIPE_COUNTS,
         num_nodes=NODES,

@@ -24,10 +24,10 @@ NUM_NODES = 4
 PPN = 8
 
 
-def specs(scenarios: tuple[str, ...] = ("scenario1", "scenario2")) -> list[ExperimentSpec]:
+def specs() -> list[ExperimentSpec]:
     return sweep(
         EXP_ID,
-        scenario=scenarios,
+        scenario=("scenario1", "scenario2"),
         total_gib=SIZES_GIB,
         num_nodes=NUM_NODES,
         ppn=PPN,

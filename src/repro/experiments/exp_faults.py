@@ -147,7 +147,7 @@ def _render_degraded(records: RecordStore) -> str:
     )
 
 
-def run(repetitions: int = 30, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     timeline_figure, records = _run_timeline(seed)
     degraded = get_experiment(EXP_ID).campaign(repetitions, seed, progress)
     records.extend(degraded)

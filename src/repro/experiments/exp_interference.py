@@ -30,7 +30,7 @@ STORM_PROCS = (0, 16, 64, 256)
 STORM_FILES = 300
 
 
-def run(repetitions: int = 5, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     deployment = scenario2().deployment()
     spec = MDSPerformanceSpec()
     rows = []

@@ -12,7 +12,7 @@ from ..analysis.lessons import evaluate_lessons
 from ..calibration.plafrim import scenario1
 from ..figures.ascii import render_table
 from ..methodology.records import RecordStore
-from .common import ExperimentOutput
+from .common import ExperimentOutput, campaign_checkpoint
 from .registry import ExperimentInfo, get_experiment, register
 from . import exp_ppn, exp_sharing
 
@@ -24,11 +24,13 @@ PAPER_REF = "Sections IV-A to IV-D (lesson boxes)"
 def gather_stores(repetitions: int, seed: int, progress=None) -> dict[str, RecordStore]:
     """Run the experiments the lessons need, at the given repetitions.
 
-    Each is its registered campaign (fig5 restricted to scenario 2).
+    Each is its registered campaign (fig5 restricted to scenario 2),
+    checkpointed to its own file when a checkpoint is configured.
     """
 
     def campaign(exp_id: str, specs=None) -> RecordStore:
-        return get_experiment(exp_id).campaign(repetitions, seed, progress, specs=specs)
+        with campaign_checkpoint(exp_id):
+            return get_experiment(exp_id).campaign(repetitions, seed, progress, specs=specs)
 
     fig4 = campaign("fig4")
     fig5 = campaign("fig5", exp_ppn.specs(scenarios=("scenario2",)))
@@ -48,7 +50,7 @@ def gather_stores(repetitions: int, seed: int, progress=None) -> dict[str, Recor
     }
 
 
-def run(repetitions: int = 40, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     stores = gather_stores(repetitions, seed, progress)
     verdicts = evaluate_lessons(stores, per_server_mib_s=scenario1().per_server_network_mib_s)
     rows = []

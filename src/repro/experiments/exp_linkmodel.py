@@ -47,7 +47,7 @@ def render() -> str:
     )
 
 
-def run(repetitions: int = 1, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     """Analytic: repetitions are accepted for interface uniformity."""
     return ExperimentOutput(
         exp_id=EXP_ID,

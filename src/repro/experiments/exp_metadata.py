@@ -31,7 +31,7 @@ PROC_COUNTS = (1, 4, 16, 64)
 FILES_PER_PROC = 200
 
 
-def run(repetitions: int = 5, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     from ..calibration.plafrim import scenario2
 
     deployment = scenario2().deployment()

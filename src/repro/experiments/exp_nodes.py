@@ -22,12 +22,12 @@ NODES = {"scenario1": (1, 2, 3, 4, 5, 6, 7, 8), "scenario2": (1, 2, 4, 8, 16, 32
 PPN = 8
 
 
-def specs(scenarios: tuple[str, ...] = ("scenario1", "scenario2"), ppn: int = PPN) -> list[ExperimentSpec]:
+def specs() -> list[ExperimentSpec]:
     return sweep(
         EXP_ID,
-        scenario=scenarios,
+        scenario=("scenario1", "scenario2"),
         num_nodes=NODES,
-        ppn=ppn,
+        ppn=PPN,
         total_gib=32,
         stripe_count=4,
     )

@@ -29,10 +29,10 @@ NODES = {"scenario1": 8, "scenario2": 32}
 PATTERNS = ("n1-contiguous", "file-per-process")
 
 
-def specs(scenarios: tuple[str, ...] = ("scenario1", "scenario2")) -> list[ExperimentSpec]:
+def specs() -> list[ExperimentSpec]:
     return sweep(
         EXP_ID,
-        scenario=scenarios,
+        scenario=("scenario1", "scenario2"),
         pattern=PATTERNS,
         stripe_count=STRIPE_COUNTS,
         num_nodes=NODES,

@@ -29,7 +29,7 @@ PAPER_REF = "Figure 9"
 PLACEMENTS = {"(0,2)": "fixed:202,203", "(1,1)": "fixed:101,201"}
 
 
-def run(repetitions: int = 1, seed: int = 0, progress=None) -> ExperimentOutput:
+def run(repetitions: int, seed: int = 0, progress=None) -> ExperimentOutput:
     panels = []
     records = RecordStore()
     options = EngineOptions(noise_enabled=False, observe_servers=True)

@@ -35,7 +35,8 @@ node dies, the job hits its time limit.  The runner therefore supports
 * :meth:`resume`, which loads the checkpoint and re-executes only the
   (spec, rep) pairs that have no successful record yet — quarantined
   failures are retried, with the prior attempt's failure records
-  archived to ``store.retried_failures`` rather than discarded.
+  archived to ``store.retried_failures`` rather than discarded.  A
+  checkpoint holding runs outside the plan is refused.
 
 :meth:`ProtocolRunner.run` is the only walk of the protocol, at every
 worker count.  Where a run's :class:`RunOutcome` comes from is the one
@@ -208,6 +209,12 @@ class ProtocolRunner:
         preserved).  Without a checkpoint file the campaign simply
         starts from scratch.
 
+        A checkpoint holding a run (recorded or quarantined) whose
+        (spec key, rep) is not in ``plan`` was written by another
+        campaign: it raises :class:`~repro.errors.CheckpointError`
+        naming the file, which is left untouched, instead of merging
+        the other campaign's runs into this store.
+
         A checkpoint that cannot be parsed — a torn write from a crash
         mid-replace, manual truncation, disk corruption — degrades to an
         empty store (every run re-executes) instead of raising: the
@@ -233,8 +240,21 @@ class ProtocolRunner:
                     )
                 store = RecordStore()
             else:
+                self._check_plan_owns(store, plan)
                 store.archive_failures()
         return self.run(plan, progress=progress, resume_from=store)
+
+    def _check_plan_owns(self, store: RecordStore, plan: ExperimentPlan) -> None:
+        planned = {(p.spec.key, p.rep) for p in plan}
+        held = store.completed_keys() | {(f.spec_key, f.rep) for f in store.failures}
+        foreign = sorted(held - planned)
+        if foreign:
+            key, rep = foreign[0]
+            raise CheckpointError(
+                f"checkpoint {self.checkpoint_path} holds {len(foreign)} run(s) that "
+                f"are not in this campaign's plan (first: {key} rep {rep}); "
+                "it belongs to another campaign"
+            )
 
     # -- outcome merging ----------------------------------------------------------
 

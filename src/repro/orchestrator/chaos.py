@@ -125,10 +125,8 @@ def _probe_fingerprint(scenarios: dict) -> str:
 
 def _reset_breaker() -> None:
     # Injections that abuse the cache leave the process-wide service
-    # breaker open; give the next injection a closed one.  Tier state
-    # (hot LRUs, remote connections, the remote breaker) is dropped too:
-    # injections reuse fingerprints across fresh cache directories, and
-    # a stale hot tier would serve phantom hits.
+    # breaker open; give the next injection a closed one.  Remote tier
+    # state (connections, the remote breaker) is dropped too.
     get_service().breaker = CircuitBreaker()
     get_service().reset_tiers()
 
@@ -348,11 +346,6 @@ def _inject_cache_truncate(
         blob = entries[0].read_bytes()
         entries[0].write_bytes(blob[: len(blob) // 2])
         entries[1].write_text('{"torn":')
-    # The disk was torn behind the process's back; drop the hot tier so
-    # the warm run probes the (corrupted) tier of record like a fresh
-    # process would, instead of serving pre-corruption entries from
-    # memory.
-    get_service().drop_memory_tiers(cache_dir)
     before = cache_stats()
     warm = ParallelProtocolRunner(
         _executor(scenarios, seed, cache=True, cache_dir=str(cache_dir)),

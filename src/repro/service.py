@@ -20,15 +20,14 @@ The service owns:
   on the context the first one built;
 * the **content-addressed result cache**: a tiered composite
   (:mod:`repro.cache`) keyed by ``(spec fingerprint, model revision,
-  engine, rep)`` — an in-process LRU hot tier, the on-disk tier
-  (atomic writes, no fsync), and an optional read-through/write-behind
-  remote tier shared through a ``repro serve`` instance.  A hit in any tier
-  replays the stored :class:`~repro.engine.result.RunResult` *and* the
-  engine's telemetry events byte-identically without executing
-  anything (and promotes the entry into the faster tiers); a miss
-  executes, normalizes the result through the exact JSON codec (so
-  cold and warm runs are bit-equal), and populates every tier, disk
-  first and atomically.
+  engine, rep)`` — the on-disk tier (atomic writes, no fsync) and an
+  optional read-through/write-behind remote tier shared through a
+  ``repro serve`` instance.  A hit in either tier replays the stored
+  :class:`~repro.engine.result.RunResult` *and* the engine's telemetry
+  events byte-identically without executing anything (a remote hit
+  back-fills the local disk); a miss executes, normalizes the result
+  through the exact JSON codec (so cold and warm runs are bit-equal),
+  and populates every tier, disk first and atomically.
 
 Runs with ``validation`` enabled bypass the cache in both directions:
 the whole point of a validated run is to execute the checkers (and the
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from .cache import CACHE_SCHEMA, MemoryTier, RemoteTier, ResultCache, TieredCache, make_entry
+from .cache import CACHE_SCHEMA, RemoteTier, ResultCache, TieredCache, make_entry
 from .cache.disk import default_cache_dir
 from .engine.result import RunResult, result_from_jsonable, result_to_jsonable
 from .errors import ConfigError, ExperimentError
@@ -263,15 +262,12 @@ class SimulationService:
         # OSErrors trip it open and runs degrade to cache-off instead of
         # failing the campaign; after the cooldown one probe half-opens
         # it.  (An unreadable disk tier means results cannot be stored;
-        # serving hot hits anyway would diverge tallies.)
+        # serving remote hits anyway would diverge tallies.)
         self.breaker = CircuitBreaker()
         # The remote tier's own breaker: remote faults degrade lookups
-        # to the local tiers without touching the disk breaker.
+        # to the disk tier without touching the disk breaker.
         self.remote_breaker = CircuitBreaker()
-        # Persistent tier state, keyed by cache root / remote address —
-        # hot tiers must not alias across roots (chaos injections reuse
-        # fingerprints across fresh cache directories).
-        self._memory_tiers: dict[str, MemoryTier] = {}
+        # One persistent connection per remote address.
         self._remote_tiers: dict[str, RemoteTier] = {}
 
     # -- tier plumbing -----------------------------------------------------
@@ -287,15 +283,10 @@ class SimulationService:
     ) -> TieredCache:
         """The tiered composite for one cache root (+ optional remote).
 
-        The composite itself is cheap and per-call; the tiers behind it
-        (hot LRU per root, one connection per remote address) and the
-        breakers persist on the service.
+        The composite and its disk tier are cheap and per-call; the
+        remote connections and the breakers persist on the service.
         """
         root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        root_key = str(root)
-        memory = self._memory_tiers.get(root_key)
-        if memory is None:
-            memory = self._memory_tiers.setdefault(root_key, MemoryTier())
         remote = None
         if cache_remote:
             address = str(cache_remote)
@@ -306,32 +297,22 @@ class SimulationService:
                 )
         return TieredCache(
             disk=ResultCache(root, on_corrupt=self._on_corrupt),
-            memory=memory,
             remote=remote,
             remote_breaker=self.remote_breaker,
         )
 
     def drop_memory_tiers(self, cache_dir: str | Path | None = None) -> None:
-        """Forget hot-tier contents (tests, and disk-tier fault drills).
+        """Does nothing: the service keeps no in-process cache tier.
 
-        With ``cache_dir`` given, only that root's hot tier is cleared;
-        otherwise all of them are.
+        Kept callable for its three callers in ``perfbench/workloads.py``:
+        ``Campaign.setup``, ``Campaign.settle`` and ``ServeMixed.settle``.
         """
-        if cache_dir is not None:
-            root_key = str(Path(cache_dir))
-            tier = self._memory_tiers.get(root_key)
-            if tier is not None:
-                tier.clear()
-            return
-        for tier in self._memory_tiers.values():
-            tier.clear()
-        self._memory_tiers.clear()
+        del cache_dir
 
     def reset_tiers(self) -> None:
-        """Drop all tier state: hot tiers, remote connections, breakers'
-        remote half.  (The disk breaker is reset by callers that own it,
-        e.g. the chaos harness.)"""
-        self.drop_memory_tiers()
+        """Drop all tier state: remote connections, breakers' remote
+        half.  (The disk breaker is reset by callers that own it, e.g.
+        the chaos harness.)"""
         for remote in self._remote_tiers.values():
             remote.close()
         self._remote_tiers.clear()
@@ -508,10 +489,9 @@ class SimulationService:
     ) -> dict[tuple[str, str, int], dict[str, Any]]:
         """Bulk cache lookup: load every hit among ``jobs`` in one pass.
 
-        Walks the tiers fast → slow: the hot tier answers first, the
-        remainder goes through the disk tier's one-``scandir``-per-
-        fingerprint bulk pass, and what is still missing is fetched from
-        the remote tier (when configured) in batched frames.  Returns
+        The disk tier's one-``scandir``-per-fingerprint bulk pass
+        answers first, and what is still missing is fetched from the
+        remote tier (when configured) in batched frames.  Returns
         raw cache entries keyed by ``(fingerprint, engine, rep)``.
 
         This emits nothing and counts nothing in the run tally: consume

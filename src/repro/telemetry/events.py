@@ -170,7 +170,7 @@ EVENT_TYPES: dict[str, dict[str, tuple[type, ...]]] = {
     # (emitted outside the capture ring, so cached event streams never
     # carry it).  Routine hits/misses are counters, not events.
     "cache.tier": {
-        "tier": (str,),  # "memory" | "disk" | "remote"
+        "tier": (str,),  # "remote" (disk faults strike the service breaker)
         "status": (str,),  # "error" | "degraded"
     },
     # -- networked orchestrator server ---------------------------------------

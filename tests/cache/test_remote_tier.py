@@ -5,7 +5,7 @@ A live in-thread ``repro serve`` instance answers ``cache-get`` /
 injects the two network faults the tier must degrade through —
 connection reset and a torn (half-written) frame.  The headline
 contract: a remote-tier outage produces **zero failed runs**; the
-campaign silently falls back to the local tiers.
+campaign silently falls back to the disk tier.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import service
-from repro.cache import MemoryTier, RemoteTier, ResultCache, TieredCache, make_entry
+from repro.cache import RemoteTier, ResultCache, TieredCache, make_entry
 from repro.cache.remote import parse_address
 from repro.errors import ConfigError
 from repro.methodology.plan import ExperimentSpec
@@ -102,10 +102,9 @@ class TestServiceThroughRemote:
             assert _delta(before, service.cache_stats())["miss"] == 1
             assert svc.flush_remote()
 
-            # A different machine (fresh cache root, empty hot tier)
-            # warms from the shared remote tier alone.
+            # A different machine (fresh cache root) warms from the
+            # shared remote tier alone.
             warm_dir = tmp_path / "warm"
-            svc.drop_memory_tiers()
             before = service.cache_stats()
             warm = svc.run(spec, 0, cache_dir=warm_dir, cache_remote=address)
             delta = _delta(before, service.cache_stats())
@@ -185,9 +184,7 @@ class TestRemoteFaultInjection:
         breaker = CircuitBreaker()
         dead = RemoteTier("127.0.0.1", 9, timeout_s=0.5)
         try:
-            tiers = TieredCache(
-                disk=disk, memory=MemoryTier(), remote=dead, remote_breaker=breaker
-            )
+            tiers = TieredCache(disk=disk, remote=dead, remote_breaker=breaker)
             for _ in range(3):
                 assert tiers.lookup(spec, 0) is None
             assert breaker.state == "open"

@@ -2,22 +2,20 @@
 
 The contract under test: every tier speaks whole validated entries;
 the disk tier quarantines corruption and touches mtime on hits so GC
-is true LRU; the memory tier is a bounded LRU; the composite promotes
-hits into faster tiers and only ever admits entries the tier of record
-has made durable.
+is true LRU; the composite probes disk before the remote tier,
+back-fills the disk with remote hits, and only ships entries the disk
+tier has accepted.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
 from repro.cache import (
     CACHE_SCHEMA,
-    MemoryTier,
     ResultCache,
     TieredCache,
     entry_key,
@@ -39,9 +37,23 @@ def _spec(**factors):
     return compile_scenario(ExperimentSpec("tiertest", "scenario1", base))
 
 
-def _fake_spec(fp: str, engine: str = "fluid"):
-    """Key-shaped stand-in: the memory tier only reads these two attrs."""
-    return SimpleNamespace(fingerprint=fp, engine=engine)
+class _DiskBackedRemote:
+    """A remote tier stand-in over a second disk root (no server)."""
+
+    def __init__(self, root):
+        self.store = ResultCache(root)
+
+    def lookup(self, spec, rep):
+        return self.store.load(spec, rep)
+
+    def lookup_many(self, jobs):
+        return self.store.load_many(jobs)
+
+    def store_entry(self, entry):
+        self.store.store_entry(entry)
+
+    def stats(self):
+        return {"address": "stand-in"}
 
 
 def _entry(fp: str = "ab" * 8, rep: int = 0, pad: int = 0) -> dict:
@@ -86,58 +98,6 @@ class TestValidateEntry:
 
     def test_entry_key(self):
         assert entry_key(_entry(fp="ef" * 8, rep=2)) == ("ef" * 8, "fluid", 2)
-
-
-class TestMemoryTier:
-    def test_store_then_hit(self):
-        tier = MemoryTier()
-        entry = _entry()
-        tier.store_entry(entry)
-        got = tier.lookup(_fake_spec(entry["fingerprint"]), 0)
-        assert got == entry
-        assert tier.lookup(_fake_spec(entry["fingerprint"]), 1) is None
-
-    def test_malformed_silently_rejected(self):
-        tier = MemoryTier()
-        tier.store_entry({**_entry(), "schema": 99})
-        tier.store_entry({**_entry(), "model_revision": MODEL_REVISION + 1})
-        assert len(tier) == 0
-
-    def test_lru_eviction_by_count(self):
-        tier = MemoryTier(max_entries=2)
-        a, b, c = (_entry(rep=r) for r in range(3))
-        tier.store_entry(a)
-        tier.store_entry(b)
-        # Touch a: it becomes most-recent, so admitting c evicts b.
-        assert tier.lookup(_fake_spec(a["fingerprint"]), 0) is not None
-        tier.store_entry(c)
-        assert tier.lookup(_fake_spec(a["fingerprint"]), 0) is not None
-        assert tier.lookup(_fake_spec(b["fingerprint"]), 1) is None
-        assert tier.lookup(_fake_spec(c["fingerprint"]), 2) is not None
-
-    def test_byte_budget_eviction(self):
-        one = len(json.dumps(_entry(pad=100), separators=(",", ":")))
-        tier = MemoryTier(max_bytes=2 * one + 1)
-        for rep in range(3):
-            tier.store_entry(_entry(rep=rep, pad=100))
-        assert len(tier) == 2
-        assert tier.stats()["bytes"] <= 2 * one + 1
-
-    def test_drop_and_clear(self):
-        tier = MemoryTier()
-        entry = _entry()
-        tier.store_entry(entry)
-        tier.drop(_fake_spec(entry["fingerprint"]), 0)
-        assert len(tier) == 0 and tier.stats()["bytes"] == 0
-        tier.store_entry(entry)
-        tier.clear()
-        assert len(tier) == 0 and tier.stats()["bytes"] == 0
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ConfigError):
-            MemoryTier(max_entries=0)
-        with pytest.raises(ConfigError):
-            MemoryTier(max_bytes=0)
 
 
 class TestDiskTier:
@@ -224,64 +184,44 @@ class TestDiskTier:
 
 
 class TestTieredCache:
-    def test_store_populates_memory_and_disk(self, tmp_path):
-        spec = _spec()
-        svc = get_service()
-        memory = MemoryTier()
-        tiers = TieredCache(disk=ResultCache(tmp_path), memory=memory)
-        cold = svc.run(spec, 0, cache=False)
-        tiers.store(make_entry(spec, 0, cold, []))
-        assert len(ResultCache(tmp_path)) == 1
-        assert memory.lookup(spec, 0) is not None
-
-    def test_disk_hit_promotes_into_memory(self, tmp_path):
-        spec = _spec()
-        svc = get_service()
-        disk = ResultCache(tmp_path)
-        TieredCache(disk=disk).store(make_entry(spec, 0, svc.run(spec, 0, cache=False), []))
-        memory = MemoryTier()
-        tiers = TieredCache(disk=disk, memory=memory)
-        reset_tier_stats()
-        entry = tiers.lookup(spec, 0)
-        assert entry is not None
-        assert memory.lookup(spec, 0) == entry
-        stats = tier_stats()
-        assert stats["memory"]["miss"] == 1 and stats["disk"]["hit"] == 1
-        # Second probe answers from memory without touching disk.
-        reset_tier_stats()
-        assert tiers.lookup(spec, 0) == entry
-        stats = tier_stats()
-        assert stats["memory"]["hit"] == 1 and stats["disk"]["hit"] == 0
-
     def test_lookup_many_mixed_tiers(self, tmp_path):
         spec = _spec()
         svc = get_service()
-        disk = ResultCache(tmp_path)
-        memory = MemoryTier()
-        tiers = TieredCache(disk=disk, memory=memory)
+        disk = ResultCache(tmp_path / "local")
+        tiers = TieredCache(disk=disk, remote=_DiskBackedRemote(tmp_path / "remote"))
         for rep in range(2):
             tiers.store(make_entry(spec, rep, svc.run(spec, rep, cache=False), []))
-        memory.drop(spec, 1)  # rep 1 now answers from disk, rep 2 misses
+        disk.path_for(spec, 1).unlink()  # rep 1 now answers from the remote, rep 2 misses
+        reset_tier_stats()
         hits = tiers.lookup_many([(spec, 0), (spec, 1), (spec, 2)])
-        keys = {(spec.fingerprint, spec.engine, r) for r in (0, 1)}
-        assert set(hits) == keys
-        assert memory.lookup(spec, 1) is not None  # promoted back
+        keys = [(spec.fingerprint, spec.engine, r) for r in (0, 1)]
+        assert set(hits) == set(keys)
+        stats = tier_stats()
+        assert stats["disk"]["hit"] == 1 and stats["remote"]["hit"] == 1
+        assert disk.load(spec, 1) == hits[keys[1]]  # back-filled
 
     def test_hit_replays_byte_identical(self, tmp_path):
-        spec = _spec()
-        svc = get_service()
-        tiers = TieredCache(disk=ResultCache(tmp_path), memory=MemoryTier())
-        cold = svc.run(spec, 0, cache=False)
-        tiers.store(make_entry(spec, 0, cold, []))
         from repro.engine.result import result_from_jsonable, result_to_jsonable
 
-        # The codec-normalized cold result is what a cached run returns.
+        spec = _spec()
+        svc = get_service()
+        remote = _DiskBackedRemote(tmp_path / "remote")
+        tiers = TieredCache(disk=ResultCache(tmp_path / "local"), remote=remote)
+        cold = svc.run(spec, 0, cache=False)
+        tiers.store(make_entry(spec, 0, cold, []))
+        # The codec-normalized cold result is what a cached run returns,
+        # from the disk tier and from the remote tier alike.
         cold = result_from_jsonable(result_to_jsonable(cold))
-        warm = result_from_jsonable(tiers.lookup(spec, 0)["result"])
-        assert result_fingerprint(warm) == result_fingerprint(cold)
+        from_remote = TieredCache(disk=ResultCache(tmp_path / "fresh"), remote=remote)
+        for source in (tiers, from_remote):
+            warm = result_from_jsonable(source.lookup(spec, 0)["result"])
+            assert result_fingerprint(warm) == result_fingerprint(cold)
 
     def test_stats_names_every_tier(self, tmp_path):
-        tiers = TieredCache(disk=ResultCache(tmp_path), memory=MemoryTier())
-        stats = tiers.stats()
-        assert set(stats) == {"memory", "disk"}
+        disk = ResultCache(tmp_path / "local")
+        assert set(TieredCache(disk=disk).stats()) == {"disk"}
+        remote = _DiskBackedRemote(tmp_path / "remote")
+        stats = TieredCache(disk=disk, remote=remote).stats()
+        assert set(stats) == {"disk", "remote"}
         assert "entries" in stats["disk"] and "hit" in stats["disk"]
+        assert "address" in stats["remote"] and "hit" in stats["remote"]

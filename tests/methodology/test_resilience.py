@@ -1,6 +1,7 @@
 """Campaign resilience: quarantine, checkpointing, resume."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,35 @@ class TestResume:
         store = ProtocolRunner(FlakyExecutor(), checkpoint_path=path).resume(plan)
         resumed = [r for r in store if r.wall_clock_s >= saved_max]
         assert resumed  # the re-executed runs continue, not restart, the clock
+
+    @pytest.mark.parametrize("policy", ["fail", "skip"])
+    def test_resume_refuses_another_plans_checkpoint(self, tmp_path, policy):
+        # A checkpoint written by another campaign must not be merged
+        # into this one's store: resume names the file and touches nothing.
+        path = tmp_path / "ckpt.json"
+        other = ExperimentPlan.build(
+            [ExperimentSpec("other", "s", {"x": 2})],
+            ProtocolConfig(repetitions=2, block_size=2, min_wait_s=0, max_wait_s=0),
+            seed=0,
+        )
+        fail_reps = {1} if policy == "skip" else ()
+        ProtocolRunner(
+            FlakyExecutor(fail_reps), on_error=policy, checkpoint_path=path
+        ).run(other)
+        before = path.read_bytes()
+        executor = FlakyExecutor()
+        with pytest.raises(CheckpointError, match=str(path)):
+            ProtocolRunner(executor, checkpoint_path=path).resume(small_plan())
+        assert executor.calls == []
+        assert path.read_bytes() == before
+        assert not Path(str(path) + ".journal").exists()
+
+    def test_resume_with_more_reps_keeps_the_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        ProtocolRunner(FlakyExecutor(), checkpoint_path=path).run(small_plan(repetitions=2))
+        executor = FlakyExecutor()
+        store = ProtocolRunner(executor, checkpoint_path=path).resume(small_plan())
+        assert len(store) == 6 and sorted(executor.calls) == [2, 3, 4, 5]
 
 
 class TestRecordFaultFields:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.methodology.runner import ProtocolRunner
-from repro.service import cache_stats, get_service, reset_cache_stats
+from repro.service import cache_stats, reset_cache_stats
 from repro.telemetry.bus import RingBufferSink, get_bus
 
 from tests.methodology.test_parallel import store_bytes
@@ -110,8 +110,6 @@ def test_damaged_entries_are_misses_that_rewrite_the_same_bytes(tmp_path, worker
         path = disk.path_for(scenarios[key], rep)
         damaged[kind] = (path, path.read_bytes())
         damage(path)
-    # A fresh process: nothing hot, every lookup reads the disk.
-    get_service().drop_memory_tiers(cache)
     reset_cache_stats()
     store = make_runner(workers, executor(scenarios, cache)).run(plan)
     assert store_bytes(store, tmp_path, "warm") == expected

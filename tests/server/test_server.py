@@ -334,8 +334,6 @@ class TestRestart:
         before = _submit_and_wait(config, scenario, 0)
         cache = config.state_dir / "cache"
         DAMAGE[damage](ResultCache(cache).path_for(scenario, 0))
-        # A restarted process holds nothing hot: the disk is all it has.
-        get_service().drop_memory_tiers(cache)
         after = _submit_and_wait(config, scenario, 0)
         assert after["status"] == "ok", after.get("error")
         assert _digest(after["result"]) == _digest(before["result"])
@@ -347,7 +345,6 @@ class TestRestart:
         before = _submit_and_wait(config, scenario, 0)
         cache = config.state_dir / "cache"
         ResultCache(cache).path_for(scenario, 0).unlink()
-        get_service().drop_memory_tiers(cache)
         frames = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -380,7 +377,6 @@ class TestRestart:
         ResultCache(cache).path_for(scenario, 0).unlink()
         spec_file = config.state_dir / "specs" / f"{scenario.fingerprint}.json"
         spec_file.unlink()
-        get_service().drop_memory_tiers(cache)
         frame = _submit_and_wait(config, scenario, 0)
         assert frame["status"] == "failed"
         assert str(spec_file) in frame["error"]

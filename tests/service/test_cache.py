@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro import service
+from repro.cache.tiered import reset_tier_stats, tier_stats
 from repro.engine.base import EngineOptions
 from repro.engine.fluid_runner import FluidEngine
 from repro.methodology.plan import ExperimentSpec
@@ -94,9 +95,6 @@ class TestResultCache:
         cold = svc.run(spec, 0, cache_dir=tmp_path)
         path = ResultCache(tmp_path).path_for(spec, 0)
         path.write_text("{not json")
-        # The hot tier would happily keep serving the pre-corruption
-        # entry; drop it so the disk tier's handling is what's probed.
-        svc.drop_memory_tiers(tmp_path)
         before = service.cache_stats()
         again = svc.run(spec, 0, cache_dir=tmp_path)
         stats = _delta(before, service.cache_stats())
@@ -115,7 +113,6 @@ class TestResultCache:
         path = ResultCache(tmp_path).path_for(spec, 0)
         blob = path.read_bytes()
         path.write_bytes(blob[:20] + b"\xff" + blob[21:])
-        svc.drop_memory_tiers(tmp_path)
         before = service.cache_stats()
         again = svc.run(spec, 0, cache_dir=tmp_path)
         stats = _delta(before, service.cache_stats())
@@ -132,7 +129,6 @@ class TestResultCache:
         entry = json.loads(path.read_text())
         entry["model_revision"] = 999
         path.write_text(json.dumps(entry))
-        svc.drop_memory_tiers(tmp_path)
         before = service.cache_stats()
         svc.run(spec, 0, cache_dir=tmp_path)
         stats = _delta(before, service.cache_stats())
@@ -301,6 +297,21 @@ class TestCampaignEquivalence:
         cold.write_csv(cold_csv)
         warm.write_csv(warm_csv)
         assert cold_csv.read_bytes() == warm_csv.read_bytes()
+
+    def test_same_process_warm_campaign_is_served_by_disk(self, tmp_path):
+        # No in-process tier sits in front of the disk: a second campaign
+        # in this process, over the same root, reads every run from it.
+        cache = tmp_path / "cache"
+        cold = run_specs(self._specs(), repetitions=3, seed=0, cache_dir=cache)
+        reset_tier_stats()
+        before = service.cache_stats()
+        warm = run_specs(self._specs(), repetitions=3, seed=0, cache_dir=cache)
+        stats = _delta(before, service.cache_stats())
+        assert stats["hit"] == 6 and stats["miss"] == 0
+        assert tier_stats()["disk"]["hit"] == 6
+        cold.write_json(tmp_path / "cold.json")
+        warm.write_json(tmp_path / "warm.json")
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
 
     def test_warm_parallel_matches_cold_serial(self, tmp_path):
         cache = tmp_path / "cache"

@@ -317,6 +317,86 @@ class TestShortCampaigns:
         assert len((out / "fig13.csv").read_text().splitlines()) == 1 + reps
 
 
+class TestRunAll:
+    """``run all`` reports a failing experiment and runs the rest."""
+
+    @staticmethod
+    def _registry(monkeypatch, middle_raises):
+        """Three cheap experiments a, b, c; b raises ``middle_raises``."""
+        from repro.experiments import registry
+        from repro.experiments.common import ExperimentOutput
+        from repro.methodology.records import RecordStore
+
+        ran = []
+
+        def fake(exp_id, raises=None):
+            def run(repetitions, seed=0, progress=None):
+                ran.append(exp_id)
+                if raises is not None:
+                    raise raises
+                return ExperimentOutput(exp_id, "t", RecordStore(), figure=f"figure {exp_id}")
+
+            return registry.ExperimentInfo(exp_id, "t", "ref", run, 1)
+
+        registry.list_experiments()  # import the real modules before the swap
+        table = {"a": fake("a"), "b": fake("b", middle_raises), "c": fake("c")}
+        monkeypatch.setattr(registry, "EXPERIMENTS", table)
+        return ran
+
+    def test_a_failing_experiment_does_not_stop_the_rest(self, monkeypatch, capsys):
+        from repro.errors import AnalysisError
+
+        ran = self._registry(monkeypatch, AnalysisError("needs >= 10 reps"))
+        assert main(["run", "all", "--quiet", "--no-cache"]) == 1
+        assert ran == ["a", "b", "c"]
+        out, err = capsys.readouterr()
+        assert "figure a" in out and "figure c" in out
+        assert "error[AnalysisError]: needs >= 10 reps" in err
+        assert "1 of 3 experiments failed: b" in err
+
+    def test_one_failing_experiment_exits_as_before(self, monkeypatch, capsys):
+        from repro.errors import AnalysisError
+
+        ran = self._registry(monkeypatch, AnalysisError("needs >= 10 reps"))
+        assert main(["run", "b", "--quiet", "--no-cache"]) == 1
+        assert ran == ["b"]
+        err = capsys.readouterr().err
+        assert err.strip() == "error[AnalysisError]: needs >= 10 reps"
+
+    def test_an_interrupt_still_stops_the_loop(self, monkeypatch, capsys, tmp_path):
+        from repro.errors import CampaignInterrupted
+        from repro.orchestrator.interrupts import EXIT_INTERRUPTED
+
+        ran = self._registry(monkeypatch, CampaignInterrupted("SIGINT", tmp_path / "ck.b.json"))
+        args = ["run", "all", "--quiet", "--no-cache", "--checkpoint", str(tmp_path / "ck.json")]
+        assert main(args) == EXIT_INTERRUPTED
+        assert ran == ["a", "b"]
+        assert f"run b --checkpoint {tmp_path / 'ck.b.json'} --resume" in capsys.readouterr().err
+
+
+class TestLessonsCheckpoint:
+    def test_resumed_lessons_audit_matches_an_unchecked_run(self, tmp_path, capsys):
+        # Each sub-campaign of the audit keeps its own checkpoint, so a
+        # resume serves every one of them from its own store.
+        common = ["run", "lessons", "--reps", "10", "--seed", "0", "--no-cache", "--quiet"]
+        checkpoint = ["--checkpoint", str(tmp_path / "ck.json")]
+        figures, csvs = [], []
+        for name, extra in (
+            ("plain", []),
+            ("checkpointed", checkpoint),
+            ("resumed", [*checkpoint, "--resume"]),
+        ):
+            assert main([*common, *extra, "--out", str(tmp_path / name)]) == 0, name
+            out = capsys.readouterr().out
+            figures.append(out[: out.index("records written to")])
+            csvs.append((tmp_path / name / "lessons.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert figures[0] == figures[1] == figures[2]
+        assert sorted(p.name for p in tmp_path.glob("ck*.json")) == [
+            f"ck.{exp_id}.json" for exp_id in ("fig11", "fig13", "fig4", "fig5", "fig6")
+        ]
+
+
 class TestSubmitCommand:
     """A submitted campaign is the registered one ``run`` executes."""
 
@@ -402,3 +482,16 @@ class TestCacheCommands:
             line for line in capsys.readouterr().out.splitlines() if line.startswith("disk:")
         )
         assert "entries=2, bytes=1200, corrupt=1" in disk
+
+    def test_stats_names_the_disk_tier_and_the_remote_only_when_given(self, tmp_path, capsys):
+        self._fill(tmp_path, 1)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        tiers = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert tiers == ["disk"]
+        # Nothing listens on port 9: the tier is still listed, the
+        # server's own tally is reported unreachable.
+        args = ["cache", "stats", "--cache-dir", str(tmp_path), "--remote", "127.0.0.1:9"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()] == ["disk", "remote"]
+        assert "unreachable" in err
