@@ -3,8 +3,9 @@
 Both engines perform the same setup — build a fresh file system for the
 repetition, create the applications' files through the metadata path
 (chooser included), derive per-(node, target) volumes, and wire the
-calibrated capacity providers.  :class:`EngineBase` owns that;
-subclasses integrate time differently.
+calibrated capacity providers (built once per engine and node map, and
+shared by its repetitions).  :class:`EngineBase` owns that; subclasses
+integrate time differently.
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ class EngineBase:
         # rank range; like the routes, deterministic and immutable, so
         # threads sharing the engine may at worst compute one twice.
         self._layout_cache: dict[tuple, tuple[tuple[int, float, float, float], ...]] = {}
+        # Capacity providers, storage hosts and the target -> host map,
+        # per (operation, (node, ppn) map) (see ``_providers_for``).
+        self._provider_cache: dict[tuple, tuple[dict, list, dict]] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -271,6 +275,48 @@ class EngineBase:
         self._route_cache[key] = tuple(resources)
         return self._route_cache[key]
 
+    def _providers_for(
+        self, operation: str, node_ppn: tuple[tuple[str, int], ...]
+    ) -> tuple[dict[str, CapacityProvider], list[StorageHostSpec], dict[int, str]]:
+        """The run's capacity providers, storage hosts and target -> host map.
+
+        They depend only on the operation and on each client node's ppn
+        (``node_ppn`` in node-ownership order), so they are built once per
+        engine for each such key and every repetition gets shallow
+        copies; the providers themselves are immutable.  The dict's
+        insertion order is the resource order, which fixes the noise
+        draw order and the capacity-vector layout.
+        """
+        key = (operation, node_ppn)
+        cached = self._provider_cache.get(key)
+        if cached is None:
+            calib = self.calibration
+            providers: dict[str, CapacityProvider] = {}
+            switch = self.topology.host(SWITCH_NAME)
+            providers[FABRIC_RESOURCE] = ConstantCapacity(float(switch.attrs["fabric_mib_s"]))
+            hosts = calib.storage_hosts(self.deployment, operation=operation)
+            providers[SAN_RESOURCE] = SanModel(calib.san_for(operation))
+            target_host: dict[int, str] = {}
+            for host_spec in hosts:
+                for link in self.topology.route(host_spec.host, SWITCH_NAME):
+                    providers.setdefault(link.resource_id, ConstantCapacity(link.capacity_mib_s))
+                providers[f"ingest:{host_spec.host}"] = ServerIngestModel(
+                    host_spec.host, host_spec.ingest_spec
+                )
+                providers[host_spec.pool_resource_id] = StoragePoolModel(
+                    host_spec.host, host_spec.pool_spec
+                )
+                for tid in host_spec.target_ids:
+                    providers[f"ost:{tid}"] = StorageTargetModel(str(tid), host_spec.spec_for(tid))
+                    target_host[tid] = host_spec.host
+            for node, ppn in node_ppn:
+                providers[f"client:{node}"] = ConstantCapacity(calib.client.node_capacity(ppn))
+                for link in self.topology.route(node, SWITCH_NAME):
+                    providers.setdefault(link.resource_id, ConstantCapacity(link.capacity_mib_s))
+            cached = self._provider_cache[key] = (providers, hosts, target_host)
+        providers, hosts, target_host = cached
+        return dict(providers), list(hosts), dict(target_host)
+
     def _check_node_ownership(self, apps: tuple[Application, ...]) -> dict[str, str]:
         node_owner: dict[str, str] = {}
         ids = [a.app_id for a in apps]
@@ -319,38 +365,20 @@ class EngineBase:
                 raise SimulationError("faults enabled without a fault schedule")
             schedule.apply_to_management(fs.management, time=0.0)
 
-        providers: dict[str, CapacityProvider] = {}
-        switch = self.topology.host(SWITCH_NAME)
-        providers[FABRIC_RESOURCE] = ConstantCapacity(float(switch.attrs["fabric_mib_s"]))
-        hosts = calib.storage_hosts(self.deployment, operation=operation)
-        providers[SAN_RESOURCE] = SanModel(calib.san_for(operation))
-        target_host: dict[int, str] = {}
-        for host_spec in hosts:
-            for link in self.topology.route(host_spec.host, SWITCH_NAME):
-                providers.setdefault(link.resource_id, ConstantCapacity(link.capacity_mib_s))
-            providers[f"ingest:{host_spec.host}"] = ServerIngestModel(
-                host_spec.host, host_spec.ingest_spec
-            )
-            providers[host_spec.pool_resource_id] = StoragePoolModel(
-                host_spec.host, host_spec.pool_spec
-            )
-            for tid in host_spec.target_ids:
-                providers[f"ost:{tid}"] = StorageTargetModel(str(tid), host_spec.spec_for(tid))
-                target_host[tid] = host_spec.host
-
         app_by_id = {a.app_id: a for a in apps}
-        for node, owner in node_owner.items():
-            ppn = app_by_id[owner].ppn
-            providers[f"client:{node}"] = ConstantCapacity(calib.client.node_capacity(ppn))
-            for link in self.topology.route(node, SWITCH_NAME):
-                providers.setdefault(link.resource_id, ConstantCapacity(link.capacity_mib_s))
+        providers, hosts, target_host = self._providers_for(
+            operation, tuple((node, app_by_id[owner].ppn) for node, owner in node_owner.items())
+        )
 
         flows: list[FluidFlow] = []
         routes: dict[tuple[str, int], tuple[str, ...]] = {}
         inodes_by_app: dict[str, dict[int | None, FileInode]] = {}
         app_targets: dict[str, tuple[int, ...]] = {}
         app_stripe: dict[str, int] = {}
-        background_rng = rep_seeds.rng("background-creations")
+        # Named streams are independent, so this one is created only
+        # when it is drawn from.
+        if self.options.interleaved_creations:
+            background_rng = rep_seeds.rng("background-creations")
         for app_index, app in enumerate(apps):
             if app_index > 0 and self.options.interleaved_creations:
                 if not fs.namespace.is_dir("/other-users"):

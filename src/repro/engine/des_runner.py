@@ -28,7 +28,8 @@ busy targets of the pools that count distinct targets (``_ClassState``);
 only the resources it touched are looked at again.  A noise-scaled
 provider ignores the time, so its capacity is memoized per run on
 (resource, extent count, distinct targets); fault wrappers still run
-every event.  A counted solve is a pure function of the class counts and
+every event.  A new noise epoch draws only for the resources the noise
+model touches (``touches``, see :class:`~repro.netsim.fluid.NoiseModel`).  A counted solve is a pure function of the class counts and
 the capacities, so it is memoized per run on those two, and an event
 that repeats a pair reuses the rates.  An event whose fill reaches the
 order-dependent force-freeze corner (the solve returns ``None``) is
@@ -57,7 +58,7 @@ from ..telemetry.profiling import get_profiler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..verify.invariants import RuntimeChecker
-from ..netsim.fluid import FlowTraceEvent, ResourceContext
+from ..netsim.fluid import FlowTraceEvent, ResourceContext, _touched_resources
 from ..netsim.maxmin import MaxMinSolver, max_min_rates
 from ..units import MiB
 from ..workload.application import Application
@@ -259,13 +260,16 @@ class DESEngine(EngineBase):
         has_epochs = math.isfinite(epoch_len)
         multipliers = np.ones(nres)
         current_epoch = -1
+        # Only the resources the noise model touches are drawn for, in
+        # resource order; every other multiplier stays 1.0.
+        touched = _touched_resources(noise, rids)
 
         def resample(epoch: int) -> None:
             nonlocal current_epoch
             if epoch == current_epoch:
                 return
             current_epoch = epoch
-            for i, rid in enumerate(rids):
+            for i, rid in touched:
                 multipliers[i] = noise.multiplier(rid, epoch, noise_rng)
 
         # Noise-scaled providers fold into ``base * multipliers`` (bit for

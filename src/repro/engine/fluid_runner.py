@@ -19,7 +19,9 @@ protocols call :meth:`FluidEngine.run` once per repetition with a fresh
 
 from __future__ import annotations
 
-from ..errors import SimulationError
+import math
+
+from ..errors import FlowError, SimulationError
 from ..netsim.fluid import FluidResult, FluidSimulation
 from ..telemetry.profiling import get_profiler
 from ..workload.application import Application
@@ -35,17 +37,7 @@ class FluidEngine(EngineBase):
     def run(self, apps: list[Application] | tuple[Application, ...], rep: int = 0) -> RunResult:
         """Execute one repetition of the given concurrent applications."""
         prepared = self.prepare(apps, rep)
-        sim = FluidSimulation(
-            noise=prepared.noise,
-            latency=prepared.latency,
-            cap_iterations=self.options.cap_iterations,
-            retry=self.options.effective_retry(),
-            checker=self._make_checker(rep),
-        )
-        for rid, provider in prepared.providers.items():
-            sim.add_resource(rid, provider)
-        sim.add_flows(prepared.flows)
-
+        sim = self._simulation(prepared, rep)
         observe = (
             tuple(f"ingest:{h.host}" for h in prepared.hosts)
             if self.options.observe_servers
@@ -58,6 +50,20 @@ class FluidEngine(EngineBase):
                 breakpoints=self._breakpoints(),
             )
         return self._collect(prepared, fluid_result)
+
+    def _simulation(self, prepared: PreparedRun, rep: int) -> FluidSimulation:
+        """The prepared repetition as a :class:`FluidSimulation`, ready to run."""
+        sim = FluidSimulation(
+            noise=prepared.noise,
+            latency=prepared.latency,
+            cap_iterations=self.options.cap_iterations,
+            retry=self.options.effective_retry(),
+            checker=self._make_checker(rep),
+        )
+        for rid, provider in prepared.providers.items():
+            sim.add_resource(rid, provider)
+        sim.add_flows(prepared.flows)
+        return sim
 
     def _breakpoints(self) -> tuple[float, ...]:
         """Fault transition instants become extra segment boundaries."""
@@ -78,30 +84,36 @@ class FluidEngine(EngineBase):
         from ..analysis.bottleneck import attribute_bottlenecks
 
         prepared = self.prepare(apps, rep)
-        sim = FluidSimulation(
-            noise=prepared.noise,
-            latency=prepared.latency,
-            cap_iterations=self.options.cap_iterations,
-            retry=self.options.effective_retry(),
-            checker=self._make_checker(rep),
-        )
-        for rid, provider in prepared.providers.items():
-            sim.add_resource(rid, provider)
-        sim.add_flows(prepared.flows)
-        fluid_result = sim.run(
+        fluid_result = self._simulation(prepared, rep).run(
             rng=prepared.seeds.rng("noise"), detail=True, breakpoints=self._breakpoints()
         )
         report = attribute_bottlenecks(fluid_result.segment_details)
         return self._collect(prepared, fluid_result), report
 
     def _collect(self, prepared: PreparedRun, fluid_result: FluidResult) -> RunResult:
+        """The run's result, read from the final state of its flows.
+
+        The flows are walked in the (start time, flow id) order of
+        ``FluidResult.stats``, and every min, max and float sum takes its
+        operands in the order the per-flow records gave them, without
+        building one record per flow.
+        """
         servers = [h.host for h in prepared.hosts]
         meta_draw = _metadata_overheads(self.calibration, self.options, prepared)
+        flows = fluid_result.flows
+        nan = math.nan
         app_results = []
         for app in prepared.apps:
             meta = meta_draw(app.app_id)
-            stats = fluid_result.stats_by_tag("app", app.app_id)
-            start, end = fluid_result.span(stats)
+            mine = [f for f in flows if f.tags.get("app") == app.app_id]
+            if not mine:
+                raise FlowError("no flows to span")
+            start = min([nan if f.started_at is None else f.started_at for f in mine])
+            end = max([nan if f.finished_at is None else f.finished_at for f in mine])
+            delivered = [
+                float(f.volume_bytes) - float(f.remaining_bytes) if f.abandoned else f.volume_bytes
+                for f in mine
+            ]
             targets = prepared.app_targets[app.app_id]
             per_server = {s: 0 for s in servers}
             for tid in targets:
@@ -111,7 +123,7 @@ class FluidEngine(EngineBase):
                     app_id=app.app_id,
                     start_time=start,
                     end_time=end + meta,
-                    volume_bytes=fluid_result.total_delivered(stats),
+                    volume_bytes=float(sum(delivered)),
                     num_nodes=app.num_nodes,
                     ppn=app.ppn,
                     stripe_count=prepared.app_stripe[app.app_id],
@@ -124,6 +136,6 @@ class FluidEngine(EngineBase):
             segments=fluid_result.segments,
             resource_series=fluid_result.resource_series,
             fault_events=tuple(e.to_dict() for e in fluid_result.trace),
-            retries=sum(s.retries for s in fluid_result.stats),
-            abandoned_flows=sum(1 for s in fluid_result.stats if s.abandoned),
+            retries=sum(f.attempts for f in flows),
+            abandoned_flows=sum(1 for f in flows if f.abandoned),
         )

@@ -5,10 +5,12 @@ completions and noise epochs.  Within a segment every capacity is
 constant, so rates are the max-min fair allocation and volumes advance
 linearly; the engine finds the earliest next boundary, integrates, and
 repeats.  Complexity is ``O(segments * maxmin)``, which for the paper's
-experiments (a few hundred flows, tens of segments) is a few
-milliseconds per run — about 2 to 10 ms for a fig6 run on a 2-CPU x86
-host — so 100-repetition protocols take about a second per
-configuration.
+experiments (up to a few hundred flows, a handful to tens of segments)
+is a few milliseconds per run: over the fig6 sweep a run averages
+about 2.7 ms of CPU, prepare included, on a 2-vCPU x86 host (Python
+3.11, numpy 2.4), so a 100-repetition protocol takes about a quarter
+of a second per configuration.  A run pays only for what differs
+between repetitions: placement, volumes, noise draws and solves.
 
 Capacities may depend on the set of active flows through the resource
 (e.g. a storage target whose service rate grows with the number of
@@ -34,6 +36,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 
@@ -45,7 +48,7 @@ from ..telemetry.bus import get_bus
 from ..telemetry.profiling import get_profiler
 from .flows import FlowStats, FluidFlow
 from .latency import BlockingRequestModel, NoLatency
-from .maxmin import MaxMinSolver, _membership_arrays
+from .maxmin import MaxMinSolver, _build_incidence, _membership_arrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.client_model import RetryPolicy
@@ -106,8 +109,12 @@ class CapacityProvider(Protocol):
     engine folds declared providers into one per-population base vector
     and evaluates whole segments — and batches of future noise epochs —
     with a single elementwise multiply instead of per-resource Python
-    calls.  Providers that do not declare it are evaluated exactly as
-    before, one call per segment.
+    calls.  Both engines memoize a declared provider's noise-free
+    capacity per run on (resource, depth, nflows, distinct), so a
+    population that repeats those inputs makes no call; a
+    :class:`ConstantCapacity` is read once per run.  Providers that do
+    not declare it are evaluated exactly as before, one call per
+    segment (or DES event).
     """
 
     def capacity(self, ctx: ResourceContext) -> float:  # pragma: no cover
@@ -131,7 +138,15 @@ class ConstantCapacity:
 
 
 class NoiseModel(Protocol):
-    """Multiplicative capacity noise, piecewise-constant per epoch."""
+    """Multiplicative capacity noise, piecewise-constant per epoch.
+
+    A model may also define ``touches(resource_id) -> bool``, a promise
+    that for every resource it returns False for, ``multiplier`` returns
+    exactly 1.0 and draws nothing from the generator.  The engines then
+    call ``multiplier`` only for touched resources, in resource order,
+    and leave every other multiplier at 1.0; a model without
+    ``touches`` is drawn for every resource.
+    """
 
     @property
     def epoch_length_s(self) -> float:  # pragma: no cover
@@ -149,8 +164,30 @@ class NoNoise:
 
     epoch_length_s = math.inf
 
+    def touches(self, resource_id: str) -> bool:
+        return False
+
     def multiplier(self, resource_id: str, epoch: int, rng: np.random.Generator) -> float:
         return 1.0
+
+
+def _touched_resources(noise: NoiseModel, rids: Sequence[str]) -> list[tuple[int, str]]:
+    """``(index, id)`` of every resource ``noise`` may draw for, in resource order."""
+    touches = getattr(noise, "touches", None)
+    return [(i, rid) for i, rid in enumerate(rids) if touches is None or touches(rid)]
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, rtol: float = 1e-6, atol: float = 1e-9) -> bool:
+    """``np.allclose(a, b, rtol, atol)`` for float arrays, without its wrapper layers.
+
+    It computes ``np.isclose``'s own expression.  ``& isfinite(b)``
+    keeps a finite value from counting as close to an infinite one
+    (``|a - inf| <= rtol * inf`` holds); two infinite caps, such as a
+    zero-rate flow's, agree through ``a == b``.  Call it under
+    ``np.errstate(invalid="ignore")``: ``inf - inf`` is NaN.
+    """
+    close = (np.abs(a - b) <= atol + rtol * np.abs(b)) & np.isfinite(b) | (a == b)
+    return bool(np.logical_and.reduce(close, axis=None))
 
 
 @dataclass(frozen=True)
@@ -196,14 +233,25 @@ class FlowTraceEvent:
 
 @dataclass
 class FluidResult:
-    """Outcome of a fluid simulation run."""
+    """Outcome of a fluid simulation run.
 
-    stats: list[FlowStats]
+    ``flows`` are the run's flows in their final state, in (start time,
+    flow id) order.  ``stats``, one :class:`FlowStats` per flow in that
+    order, is built on first access: the fluid engine reads its
+    per-application totals from ``flows`` and never builds it.
+    """
+
+    flows: list[FluidFlow] = field(repr=False)
     makespan: float
     segments: int
     resource_series: dict[str, TimeSeries] = field(default_factory=dict)
     segment_details: list[SegmentDetail] = field(default_factory=list)
     trace: list[FlowTraceEvent] = field(default_factory=list)
+
+    @cached_property
+    def stats(self) -> list[FlowStats]:
+        """Completion records of every flow, in ``flows`` order."""
+        return [f.stats() for f in self.flows]
 
     def total_delivered(self, stats: Sequence[FlowStats] | None = None) -> float:
         """Bytes that actually moved (equals total_volume when no faults)."""
@@ -338,7 +386,7 @@ class FluidSimulation:
         solver: MaxMinSolver,
         capacities: np.ndarray,
         nprocs: np.ndarray,
-        req_sizes: np.ndarray,
+        size_mib: np.ndarray,
     ) -> tuple:
         """One segment's latency-cap fixed point: ``(rates, caps, caps_used, iterations)``.
 
@@ -346,20 +394,24 @@ class FluidSimulation:
         only allowed to rise afterwards (see ``solve_with_caps``).
         ``caps_used`` is the cap vector the final ``rates`` were solved
         against (``caps`` may already hold the next iterate), which is
-        what the fairness certificate needs.
+        what the fairness certificate needs.  ``nprocs`` and
+        ``size_mib`` (request sizes in MiB) are the population's float
+        arrays.
         """
         iterations = 1
-        rates = solver.solve(capacities)
-        caps = self.latency.flow_caps(rates, nprocs, req_sizes)
-        caps_used = None
-        for _ in range(self.cap_iterations):
-            caps_used = caps
-            iterations += 1
-            rates = solver.solve(capacities, caps)
-            new_caps = np.maximum(caps, self.latency.flow_caps(rates, nprocs, req_sizes))
-            if np.allclose(new_caps, caps, rtol=1e-6, atol=1e-9):
-                break
-            caps = new_caps
+        flow_caps = self.latency.caps_mib
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = solver.solve(capacities)
+            caps = flow_caps(rates, nprocs, size_mib)
+            caps_used = None
+            for _ in range(self.cap_iterations):
+                caps_used = caps
+                iterations += 1
+                rates = solver.solve(capacities, caps)
+                new_caps = np.maximum(caps, flow_caps(rates, nprocs, size_mib))
+                if _allclose(new_caps, caps):
+                    break
+                caps = new_caps
         return rates, caps, caps_used, iterations
 
     def _solve_lanes(
@@ -367,7 +419,7 @@ class FluidSimulation:
         solver: MaxMinSolver,
         lane_caps: np.ndarray,
         nprocs: np.ndarray,
-        req_sizes: np.ndarray,
+        size_mib: np.ndarray,
     ) -> list[tuple]:
         """Solve a stacked batch of segment capacity vectors.
 
@@ -380,31 +432,31 @@ class FluidSimulation:
         would have solved itself.
         """
         lanes = lane_caps.shape[0]
-        first = solver.solve_batch(lane_caps)
-        out_rates = [first[b] for b in range(lanes)]
-        caps = [self.latency.flow_caps(first[b], nprocs, req_sizes) for b in range(lanes)]
-        caps_used: list[np.ndarray | None] = [None] * lanes
-        iters = [1] * lanes
-        live = list(range(lanes))
-        for _ in range(self.cap_iterations):
-            if not live:
-                break
-            solved = solver.solve_batch(
-                lane_caps[np.array(live)], np.stack([caps[b] for b in live])
-            )
-            nxt: list[int] = []
-            for k, b in enumerate(live):
-                caps_used[b] = caps[b]
-                iters[b] += 1
-                out_rates[b] = solved[k]
-                new_caps = np.maximum(
-                    caps[b], self.latency.flow_caps(solved[k], nprocs, req_sizes)
+        flow_caps = self.latency.caps_mib
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = solver.solve_batch(lane_caps)
+            out_rates = [first[b] for b in range(lanes)]
+            caps = [flow_caps(first[b], nprocs, size_mib) for b in range(lanes)]
+            caps_used: list[np.ndarray | None] = [None] * lanes
+            iters = [1] * lanes
+            live = list(range(lanes))
+            for _ in range(self.cap_iterations):
+                if not live:
+                    break
+                solved = solver.solve_batch(
+                    lane_caps[np.array(live)], np.stack([caps[b] for b in live])
                 )
-                if np.allclose(new_caps, caps[b], rtol=1e-6, atol=1e-9):
-                    continue
-                caps[b] = new_caps
-                nxt.append(b)
-            live = nxt
+                nxt: list[int] = []
+                for k, b in enumerate(live):
+                    caps_used[b] = caps[b]
+                    iters[b] += 1
+                    out_rates[b] = solved[k]
+                    new_caps = np.maximum(caps[b], flow_caps(solved[k], nprocs, size_mib))
+                    if _allclose(new_caps, caps[b]):
+                        continue
+                    caps[b] = new_caps
+                    nxt.append(b)
+                live = nxt
         return [(out_rates[b], caps[b], caps_used[b], iters[b]) for b in range(lanes)]
 
 
@@ -413,8 +465,9 @@ class _Run:
 
     :meth:`execute` is the segment loop; every other method is one of its
     phases.  Population state (incidence, base capacities, per-flow
-    arrays) is rebuilt only when the active flow set changes.  Between
-    rebuilds the per-flow ``rem`` and ``stalled`` arrays are
+    arrays) is rebuilt only when the active flow set changes, by
+    gathering the active rows of per-flow arrays laid out once per run.
+    Between rebuilds the per-flow ``rem`` and ``stalled`` arrays are
     authoritative; :meth:`flush` writes them back into the flow objects
     (exactly the values a per-flow loop would have left there).
     """
@@ -447,6 +500,7 @@ class _Run:
         self.providers = [sim._providers[rid] for rid in self.rids]
         self.rid_index = {rid: i for i, rid in enumerate(self.rids)}
         self.flows = sorted(sim._flows, key=lambda f: (f.start_time, f.flow_id))
+        n = len(self.rids)
         # A flow's resource indices, and the value it shows each provider
         # that counts a distinct tag, are fixed for the run.
         tags = [_distinct_tag_of(p) for p in self.providers]
@@ -457,6 +511,40 @@ class _Run:
         for f in self.flows:
             idxs = self.members[f.flow_id] = tuple(map(index_of, f.resources))
             self.tag_values[f.flow_id] = [(i, f.tags.get(tag_of[i])) for i in idxs if i in tag_of]
+        # One row per flow, in ``flows`` order: the memberships in CSR
+        # form (row j's resources are ``route_flat[route_start[j]:]``,
+        # ``route_len[j]`` of them) and as an incidence matrix validated
+        # here once, the depth weights, process counts and request sizes
+        # in MiB.  A rebuild gathers the active rows.
+        self.row_of = {id(f): j for j, f in enumerate(self.flows)}
+        routes = [self.members[f.flow_id] for f in self.flows]
+        self.route_len, self.route_flat = _membership_arrays(routes)
+        self.route_start = np.cumsum(self.route_len) - self.route_len
+        self.incidence = _build_incidence(routes, n)
+        self.flow_weight = np.array([f.weight for f in self.flows], dtype=float)
+        self.flow_nprocs = np.array([f.nprocs for f in self.flows], dtype=float)
+        self.flow_size_mib = sim.latency.request_sizes_mib(
+            np.array(
+                [np.nan if f.request_size_bytes is None else f.request_size_bytes for f in self.flows],
+                dtype=float,
+            )
+        )
+        # How a rebuild gets each provider's noise-free capacity: a
+        # ``ConstantCapacity`` is its ``mib_s`` (``mib_s * 1.0``) for the
+        # whole run; another noise-scaled provider is memoized per run on
+        # (resource, depth, nflows, distinct), the only inputs it reads;
+        # the rest are called every segment (see ``capacities``).
+        self.const_base = np.zeros(n)
+        self.scaled: list[tuple[int, CapacityProvider]] = []
+        self.dynamic_idx: list[int] = []
+        for i, provider in enumerate(self.providers):
+            if type(provider) is ConstantCapacity:
+                self.const_base[i] = provider.mib_s
+            elif getattr(provider, "noise_scaled", False):
+                self.scaled.append((i, provider))
+            else:
+                self.dynamic_idx.append(i)
+        self.scaled_memo: dict[tuple[int, float, int, int], float] = {}
         if self.checker is not None:
             self.checker.bind_resources(self.rids)
             for flow in self.flows:
@@ -478,7 +566,8 @@ class _Run:
         self.epoch_len = self.noise.epoch_length_s
         self.has_epochs = math.isfinite(self.epoch_len)
         self.noisy = rng is not None and not isinstance(self.noise, NoNoise)
-        self.multipliers = np.ones(len(self.rids))
+        self.touched = _touched_resources(self.noise, self.rids) if self.noisy else []
+        self.multipliers = np.ones(n)
         self.epoch = -1
         # Noise epochs drawn ahead for presolved segments, and the
         # highest epoch drawn so far (ahead or lazily).
@@ -551,55 +640,66 @@ class _Run:
         return epoch
 
     def draw(self, epoch: int) -> np.ndarray:
-        """One epoch's noise multipliers, drawn in resource order."""
-        row = np.empty(len(self.rids))
-        for i, rid in enumerate(self.rids):
-            row[i] = self.noise.multiplier(rid, epoch, self.rng)
+        """One epoch's noise multipliers, drawn in resource order.
+
+        Only the touched resources are drawn for; the rest stay 1.0.
+        """
+        row = np.ones(len(self.rids))
+        multiplier, rng = self.noise.multiplier, self.rng
+        for i, rid in self.touched:
+            row[i] = multiplier(rid, epoch, rng)
         self.drawn_max = max(self.drawn_max, epoch)
         return row
 
     def rebuild_population(self) -> None:
-        """Per-resource context, solver and per-flow arrays of the active set.
+        """Per-resource inputs, solver and per-flow arrays of the active set.
 
         All of it depends only on the active population, not on time or
         noise.
         """
         n, now, active = len(self.rids), self.now, self.active
-        memberships = [self.members[f.flow_id] for f in active]
-        # ``bincount`` adds in input order: flow by flow, each flow's
-        # resources in route order, as a per-membership loop would.
-        counts, flat = _membership_arrays(memberships)
-        weights = np.array([f.weight for f in active], dtype=float)
-        depth = np.bincount(flat, weights=np.repeat(weights, counts), minlength=n)
+        row_of = self.row_of
+        rows = np.fromiter([row_of[id(f)] for f in active], dtype=np.intp, count=len(active))
+        # The active rows' memberships, flow by flow in active order:
+        # ``bincount`` adds in input order, each flow's resources in route
+        # order, as a per-membership loop would.
+        counts = self.route_len[rows]
+        ends = np.cumsum(counts)
+        flat = self.route_flat[
+            np.arange(ends[-1]) + np.repeat(self.route_start[rows] - (ends - counts), counts)
+        ]
+        depth = np.bincount(flat, weights=np.repeat(self.flow_weight[rows], counts), minlength=n)
         nflows = np.bincount(flat, minlength=n)
         tag_sets: dict[int, set] = {}
+        tag_values = self.tag_values
         for flow in active:
-            for i, value in self.tag_values[flow.flow_id]:
+            for i, value in tag_values[flow.flow_id]:
                 tag_sets.setdefault(i, set()).add(value)
         distinct = {i: len(values) for i, values in tag_sets.items()}
         # Fold noise-scaled providers into one base vector: for them
         # ``capacity == base * noise`` bit for bit, so each segment needs
         # a single elementwise multiply.  The rest keep their per-segment
         # Python call.
-        base = np.zeros(n)
-        dynamic: list[tuple[int, CapacityProvider, int]] = []
-        for i, provider in enumerate(self.providers):
-            ctx_distinct = distinct.get(i, 1)
-            if getattr(provider, "noise_scaled", False):
-                base[i] = provider.capacity(
-                    ResourceContext(now, depth[i], int(nflows[i]), 1.0, ctx_distinct)
+        base = self.const_base.copy()
+        memo = self.scaled_memo
+        depth_of, nflows_of = depth.tolist(), nflows.tolist()
+        for i, provider in self.scaled:
+            key = (i, depth_of[i], nflows_of[i], distinct.get(i, 1))
+            cap = memo.get(key)
+            if cap is None:
+                cap = memo[key] = provider.capacity(
+                    ResourceContext(now, depth[i], nflows_of[i], 1.0, key[3])
                 )
-            else:
-                dynamic.append((i, provider, ctx_distinct))
-        self.base, self.dynamic = base, dynamic
+            base[i] = cap
+        self.base = base
+        self.dynamic = [(i, self.providers[i], distinct.get(i, 1)) for i in self.dynamic_idx]
         self.depth, self.nflows, self.distinct = depth, nflows, distinct
-        self.memberships = memberships
-        self.nprocs = np.array([f.nprocs for f in active])
-        self.req_sizes = np.array(
-            [f.request_size_bytes if f.request_size_bytes is not None else np.nan for f in active]
-        )
+        incidence = self.incidence[rows]
+        self.memberships = [self.members[f.flow_id] for f in active]
+        self.nprocs = self.flow_nprocs[rows]
+        self.size_mib = self.flow_size_mib[rows]
         self.obs_members = [
-            (rid, [j for j, idxs in enumerate(memberships) if self.rid_index[rid] in idxs])
+            (rid, np.flatnonzero(incidence[:, self.rid_index[rid]]).tolist())
             for rid in self.observe_ids
         ]
         self.rem = np.array([f.remaining_bytes for f in active], dtype=float)
@@ -608,7 +708,7 @@ class _Run:
                 [np.nan if f.stalled_since is None else f.stalled_since for f in active],
                 dtype=float,
             )
-        self.solver = MaxMinSolver(memberships, n)
+        self.solver = MaxMinSolver.from_incidence(incidence)
         self.presolved = {}
         self.presolve_horizon = -1
         self.arrays_valid = True
@@ -623,7 +723,7 @@ class _Run:
                     self.now, self.depth[i], int(self.nflows[i]), self.multipliers[i], ctx_distinct
                 )
             )
-        if np.any(capacities < 0):
+        if np.count_nonzero(capacities < 0):
             raise SimulationError("capacity provider returned a negative capacity")
         return capacities
 
@@ -632,7 +732,7 @@ class _Run:
         solve_t0 = perf_counter() if self.profiled else 0.0
         entry = self.presolved.pop(capacities.tobytes(), None) if self.presolved else None
         if entry is None:
-            entry = self.sim._solve_one(self.solver, capacities, self.nprocs, self.req_sizes)
+            entry = self.sim._solve_one(self.solver, capacities, self.nprocs, self.size_mib)
         self.solver_iterations += entry[3]
         if self.profiled:
             self.prof.record("fluid.solve", perf_counter() - solve_t0)
@@ -664,8 +764,8 @@ class _Run:
         dt = math.inf
         first_done = math.inf
         moving = rates_bytes > 0
-        if moving.any():
-            first_done = (self.rem[moving] / rates_bytes[moving]).min()
+        if np.count_nonzero(moving):
+            first_done = np.minimum.reduce(self.rem[moving] / rates_bytes[moving])
             dt = min(dt, first_done)
         if self.next_flow < len(self.flows):
             dt = min(dt, self.flows[self.next_flow].start_time - now)
@@ -677,8 +777,10 @@ class _Run:
                 dt = min(dt, self.bounds[nxt] - now)
         if self.retry_heap:
             dt = min(dt, self.retry_heap[0][0] - now)
-        if stall_mask is not None and stall_mask.any():
-            dt = min(dt, ((self.stalled[stall_mask] + self.retry.timeout_s) - now).min())
+        if stall_mask is not None and np.count_nonzero(stall_mask):
+            dt = min(
+                dt, np.minimum.reduce((self.stalled[stall_mask] + self.retry.timeout_s) - now)
+            )
         if not math.isfinite(dt) or dt < 0:
             stuck = [f.flow_id for f in self.active]
             raise SimulationError(f"fluid simulation stalled at t={now}: flows {stuck}")
@@ -718,7 +820,7 @@ class _Run:
         lanes: dict[bytes, np.ndarray] = {}
         for e in range(start, horizon + 1):
             caps_e = self.base * self.predrawn[e]
-            if np.any(caps_e < 0):
+            if np.count_nonzero(caps_e < 0):
                 # The segment loop raises the usual SimulationError there.
                 break
             key = caps_e.tobytes()
@@ -726,7 +828,7 @@ class _Run:
                 lanes.setdefault(key, caps_e)
         if lanes:
             entries = self.sim._solve_lanes(
-                self.solver, np.stack(list(lanes.values())), self.nprocs, self.req_sizes
+                self.solver, np.stack(list(lanes.values())), self.nprocs, self.size_mib
             )
             self.presolved.update(zip(lanes, entries))
         if self.profiled:
@@ -798,12 +900,12 @@ class _Run:
             raise SimulationError(f"fluid simulation exceeded max_time={self.max_time}")
         self.rem = self.rem - rates_bytes * dt
         done_mask = self.rem <= _BYTES_EPS
-        changed = bool(done_mask.any())
+        changed = bool(np.count_nonzero(done_mask))
         if stall_mask is not None:
             timed_mask = (
                 ~done_mask & stall_mask & (now >= (self.stalled + self.retry.timeout_s) - _TIME_EPS)
             )
-            changed = changed or bool(timed_mask.any())
+            changed = changed or bool(np.count_nonzero(timed_mask))
         if changed:
             self.retire()
         self.segments += 1
@@ -873,10 +975,9 @@ class _Run:
             metrics = self.bus.metrics
             metrics.counter("engine.segments_solved", engine="fluid").inc(self.segments)
             metrics.counter("engine.solver_iterations", engine="fluid").inc(self.solver_iterations)
-        stats = [f.stats() for f in self.flows]
         return FluidResult(
-            stats=stats,
-            makespan=max(s.finished_at for s in stats),
+            flows=self.flows,
+            makespan=max(math.nan if f.finished_at is None else f.finished_at for f in self.flows),
             segments=self.segments,
             resource_series=self.series,
             segment_details=self.details,

@@ -79,10 +79,24 @@ class BlockingRequestModel:
             sizes = np.asarray(request_sizes_bytes, dtype=float)
             if sizes.shape != rates.shape:
                 raise ConfigError("request sizes and rates must align")
-            size_mib = np.where(np.isnan(sizes), self.request_size_bytes, sizes) / MiB
+            size_mib = self.request_sizes_mib(sizes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_proc = np.where(procs > 0, rates / procs, 0.0)
-            achieved = per_proc * size_mib / (size_mib + self.round_trip_latency_s * per_proc)
+            return self.caps_mib(rates, procs, size_mib)
+
+    def request_sizes_mib(self, request_sizes_bytes: np.ndarray) -> np.ndarray:
+        """Per-flow request sizes in MiB; NaN entries take the model's size."""
+        sizes = request_sizes_bytes
+        return np.where(np.isnan(sizes), self.request_size_bytes, sizes) / MiB
+
+    def caps_mib(self, rates: np.ndarray, procs: np.ndarray, size_mib: np.ndarray) -> np.ndarray:
+        """:meth:`flow_caps` over float arrays, request sizes already in MiB.
+
+        The fixed point calls this once per iteration with the sizes
+        computed once per population.  Call it under
+        ``np.errstate(divide="ignore", invalid="ignore")``.
+        """
+        per_proc = np.where(procs > 0, rates / procs, 0.0)
+        achieved = per_proc * size_mib / (size_mib + self.round_trip_latency_s * per_proc)
         return np.where(rates > 0, procs * achieved, np.inf)
 
     def efficiency(self, allocated_mib_s: float) -> float:
@@ -105,6 +119,12 @@ class NoLatency:
         request_sizes_bytes: Sequence[float] | None = None,
     ) -> np.ndarray:
         return np.full(np.asarray(rates_mib_s).shape, np.inf)
+
+    def request_sizes_mib(self, request_sizes_bytes: np.ndarray) -> np.ndarray:
+        return request_sizes_bytes / MiB
+
+    def caps_mib(self, rates: np.ndarray, procs: np.ndarray, size_mib: np.ndarray) -> np.ndarray:
+        return np.full(rates.shape, np.inf)
 
     def efficiency(self, allocated_mib_s: float) -> float:
         return 1.0

@@ -9,8 +9,9 @@ allocation leaves one server link idle for part of the run).
 
 Per-flow rate caps are supported both directly (``flow_caps``) and as
 rate-dependent callables through :func:`solve_with_caps`, which runs a
-short damped fixed-point iteration (caps only ever shrink, so the
-iteration converges monotonically).
+short fixed-point iteration: the caps are seeded from the uncapped
+allocation and afterwards only ever rise, so the iteration converges
+monotonically.
 
 The implementation is vectorised with NumPy over an incidence matrix.
 The fluid engine solves many segments over the *same* flow population
@@ -18,7 +19,11 @@ The fluid engine solves many segments over the *same* flow population
 :class:`MaxMinSolver` builds the incidence matrix once per population
 and reuses it across solves.  Nothing is memoized: every call solves,
 and returns a fresh array.  :func:`max_min_rates` remains the one-shot
-functional entry point.
+functional entry point.  The fill loops enter ``np.errstate`` once per
+solve and reduce with the ufuncs' own ``reduce`` (``np.logical_or``,
+``np.minimum``) and masked in-place updates, which compute what the
+``ndarray`` methods and boolean-indexed updates did, element for
+element.
 
 A solve may also weight its rows with integer ``counts``: row ``r``
 then stands for ``counts[r]`` identical flows.  Identical flows share
@@ -46,6 +51,12 @@ __all__ = ["MaxMinSolver", "max_min_rates", "solve_with_caps", "fairness_violati
 _MAX_BATCH_LANES = 4096
 
 _EPS = 1e-9
+
+# The ufuncs' own reductions: what ``ndarray.any``/``.all``/``.min``
+# compute, without the Python wrapper layers around them.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+_min = np.minimum.reduce
 
 
 def _membership_arrays(
@@ -93,9 +104,23 @@ class MaxMinSolver:
     """
 
     def __init__(self, memberships: Sequence[Sequence[int]], num_resources: int):
-        self.num_resources = int(num_resources)
-        self.num_flows = len(memberships)
-        self._incidence = _build_incidence(memberships, self.num_resources)
+        self._adopt(_build_incidence(memberships, int(num_resources)))
+
+    @classmethod
+    def from_incidence(cls, incidence: np.ndarray) -> "MaxMinSolver":
+        """A solver over a boolean flows x resources matrix already validated.
+
+        The solver takes ``incidence`` over and makes it read-only; the
+        rows must be what :func:`_build_incidence` builds from valid
+        memberships (every flow crosses at least one resource).
+        """
+        solver = cls.__new__(cls)
+        solver._adopt(incidence)
+        return solver
+
+    def _adopt(self, incidence: np.ndarray) -> None:
+        self.num_flows, self.num_resources = incidence.shape
+        self._incidence = incidence
         self._incidence.setflags(write=False)
         # Per-resource active-flow counts when *every* flow is active —
         # the common case at the top of a solve (no dead resources, no
@@ -138,14 +163,14 @@ class MaxMinSolver:
             raise FlowError(
                 f"capacities must have shape ({self.num_resources},), got {caps.shape}"
             )
-        if np.any(caps < 0):
+        if np.count_nonzero(caps < 0):
             raise FlowError("negative resource capacity")
         fc: np.ndarray | None = None
         if flow_caps is not None:
             fc = np.asarray(flow_caps, dtype=float)
             if fc.shape != (self.num_flows,):
                 raise FlowError("flow_caps must have one entry per flow")
-            if np.any(fc < 0):
+            if np.count_nonzero(fc < 0):
                 raise FlowError("negative flow cap")
         if counts is None:
             return self._fill(caps, fc)
@@ -181,7 +206,7 @@ class MaxMinSolver:
             )
         if caps.shape[0] > _MAX_BATCH_LANES:
             raise FlowError(f"batch of {caps.shape[0]} lanes exceeds {_MAX_BATCH_LANES}")
-        if np.any(caps < 0):
+        if np.count_nonzero(caps < 0):
             raise FlowError("negative resource capacity")
         fc: np.ndarray | None = None
         if flow_caps is not None:
@@ -191,7 +216,7 @@ class MaxMinSolver:
                     f"flow_caps must have shape ({caps.shape[0]}, {self.num_flows}), "
                     f"got {fc.shape}"
                 )
-            if np.any(fc < 0):
+            if np.count_nonzero(fc < 0):
                 raise FlowError("negative flow cap")
         return self._fill_batch(caps, fc)
 
@@ -206,7 +231,6 @@ class MaxMinSolver:
         """
         lanes = caps.shape[0]
         nflows, nres = self.num_flows, self.num_resources
-        incidence = self._incidence
         inc_int = self._inc_int
         rates = np.zeros((lanes, nflows))
         if nflows == 0 or lanes == 0:
@@ -218,49 +242,53 @@ class MaxMinSolver:
             cap_rem = flow_caps.astype(float, copy=True)
 
         active = np.ones((lanes, nflows), dtype=bool)
-        rem = caps.astype(float).copy()
+        rem = caps.astype(float)  # a copy
 
         zero_res = rem <= _EPS
-        if zero_res.any():
+        if np.count_nonzero(zero_res):
             active &= ~((zero_res.astype(np.intp) @ inc_int.T) > 0)
         active &= cap_rem > _EPS
 
         users = active.astype(np.intp) @ inc_int  # (lanes, nres), exact
 
-        for _ in range(nflows + nres + 1):
-            live = active.any(axis=1)
-            if not live.any():
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(nflows + nres + 1):
+                live = _any(active, axis=1)
+                if not np.count_nonzero(live):
+                    break
                 headroom = np.where(users > 0, rem / np.maximum(users, 1), np.inf)
-            delta_res = headroom.min(axis=1)
-            delta_cap = np.where(active, cap_rem, np.inf).min(axis=1)
-            delta = np.minimum(delta_res, delta_cap)
-            if not np.isfinite(delta[live]).all():
-                raise FlowError("unbounded max-min allocation (no finite constraint)")
-            delta = np.where(live, np.maximum(delta, 0.0), 0.0)
+                delta_res = _min(headroom, axis=1)
+                delta_cap = _min(cap_rem, axis=1, where=active, initial=np.inf)
+                delta = np.minimum(delta_res, delta_cap)
+                if not _all(np.isfinite(delta[live])):
+                    raise FlowError("unbounded max-min allocation (no finite constraint)")
+                delta = np.where(live, np.maximum(delta, 0.0), 0.0)
 
-            rates += np.where(active, delta[:, None], 0.0)
-            rem -= delta[:, None] * users
-            cap_rem -= np.where(active, delta[:, None], 0.0)
+                # Inactive entries are left as they are: adding (or
+                # subtracting) the 0.0 an unmasked update would apply to
+                # them changes no bit of a rate (never -0.0) or a cap.
+                lane_delta = delta[:, None]
+                np.add(rates, lane_delta, out=rates, where=active)
+                rem -= lane_delta * users
+                np.subtract(cap_rem, lane_delta, out=cap_rem, where=active)
 
-            saturated_res = (rem <= _EPS) & (users > 0)
-            freeze = active & (
-                ((saturated_res.astype(np.intp) @ inc_int.T) > 0) | (cap_rem <= _EPS)
-            )
-            stuck = live & ~freeze.any(axis=1)
-            if stuck.any():
-                # Numerical corner, per lane: force-freeze the flow at
-                # the tightest constraint so progress is guaranteed.
-                for b in np.flatnonzero(stuck):
-                    tight = int(np.argmin(np.where(active[b], cap_rem[b], np.inf)))
-                    freeze[b, tight] = True
-            removed = active & freeze
-            if removed.any():
-                users -= removed.astype(np.intp) @ inc_int
-            active &= ~freeze
-        else:  # pragma: no cover - loop bound is a hard invariant
-            raise FlowError("max-min allocation did not converge")
+                saturated_res = (rem <= _EPS) & (users > 0)
+                freeze = active & (
+                    ((saturated_res.astype(np.intp) @ inc_int.T) > 0) | (cap_rem <= _EPS)
+                )
+                stuck = live & ~_any(freeze, axis=1)
+                if np.count_nonzero(stuck):
+                    # Numerical corner, per lane: force-freeze the flow at
+                    # the tightest constraint so progress is guaranteed.
+                    for b in np.flatnonzero(stuck):
+                        tight = int(np.argmin(np.where(active[b], cap_rem[b], np.inf)))
+                        freeze[b, tight] = True
+                removed = active & freeze
+                if np.count_nonzero(removed):
+                    users -= removed.astype(np.intp) @ inc_int
+                active &= ~freeze
+            else:  # pragma: no cover - loop bound is a hard invariant
+                raise FlowError("max-min allocation did not converge")
         return rates
 
     def _fill_counted(
@@ -334,12 +362,12 @@ class MaxMinSolver:
             cap_rem = flow_caps.astype(float, copy=True)
 
         active = np.ones(nflows, dtype=bool)
-        rem = caps.astype(float).copy()
+        rem = caps.astype(float)  # a copy
 
         # Flows through zero-capacity resources can never move.
         zero_res = rem <= _EPS
-        if zero_res.any():
-            active &= ~incidence[:, zero_res].any(axis=1)
+        if np.count_nonzero(zero_res):
+            active &= ~_any(incidence[:, zero_res], axis=1)
         # Flows capped at zero are immediately frozen at rate 0.
         active &= cap_rem > _EPS
 
@@ -347,43 +375,46 @@ class MaxMinSolver:
         # subtraction of frozen flows' rows is exact, so the counts (and
         # therefore every float that follows) match a from-scratch
         # recompute bit for bit.
-        if active.all():
+        if np.count_nonzero(active) == nflows:
             users = self._users_all.copy()
         else:
             users = incidence[active].sum(axis=0)
 
         # Each iteration freezes at least one flow, so this terminates in
         # at most ``nflows`` iterations.
-        for _ in range(nflows + nres + 1):
-            if not active.any():
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(nflows + nres + 1):
+                if not np.count_nonzero(active):
+                    break
                 headroom = np.where(users > 0, rem / np.maximum(users, 1), np.inf)
-            delta_res = headroom.min() if np.isfinite(headroom).any() else np.inf
-            delta_cap = cap_rem[active].min()
-            delta = min(delta_res, delta_cap)
-            if not np.isfinite(delta):
-                raise FlowError("unbounded max-min allocation (no finite constraint)")
-            delta = max(delta, 0.0)
+                delta_res = _min(headroom, initial=np.inf)
+                # inf, not NaN, when no headroom is finite.
+                if not delta_res < np.inf and not _any(np.isfinite(headroom)):
+                    delta_res = np.inf
+                delta_cap = _min(cap_rem, where=active, initial=np.inf)
+                delta = min(delta_res, delta_cap)
+                if not math.isfinite(delta):
+                    raise FlowError("unbounded max-min allocation (no finite constraint)")
+                delta = max(delta, 0.0)
 
-            rates[active] += delta
-            rem -= delta * users
-            cap_rem[active] -= delta
+                np.add(rates, delta, out=rates, where=active)
+                rem -= delta * users
+                np.subtract(cap_rem, delta, out=cap_rem, where=active)
 
-            saturated_res = (rem <= _EPS) & (users > 0)
-            freeze = active & (incidence[:, saturated_res].any(axis=1) | (cap_rem <= _EPS))
-            if not freeze.any():
-                # Numerical corner: force-freeze the flows at the tightest
-                # constraint so progress is guaranteed.
-                tight = np.argmin(np.where(active, cap_rem, np.inf))
-                freeze = np.zeros(nflows, dtype=bool)
-                freeze[tight] = True
-            removed = active & freeze
-            if removed.any():
-                users -= incidence[removed].sum(axis=0)
-            active &= ~freeze
-        else:  # pragma: no cover - loop bound is a hard invariant
-            raise FlowError("max-min allocation did not converge")
+                saturated_res = (rem <= _EPS) & (users > 0)
+                freeze = active & (_any(incidence[:, saturated_res], axis=1) | (cap_rem <= _EPS))
+                if not np.count_nonzero(freeze):
+                    # Numerical corner: force-freeze the flows at the tightest
+                    # constraint so progress is guaranteed.
+                    tight = np.argmin(np.where(active, cap_rem, np.inf))
+                    freeze = np.zeros(nflows, dtype=bool)
+                    freeze[tight] = True
+                removed = active & freeze
+                if np.count_nonzero(removed):
+                    users -= incidence[removed].sum(axis=0)
+                active &= ~freeze
+            else:  # pragma: no cover - loop bound is a hard invariant
+                raise FlowError("max-min allocation did not converge")
         return rates
 
 

@@ -21,12 +21,19 @@ need to look at all 100 points rather than means (Lesson 5).
 All draws are mean-adjusted lognormals, so the noise perturbs but does
 not bias the calibrated capacities.  A model instance caches run-level
 draws internally: build a fresh instance per simulated run.
+
+Every model answers ``touches(resource_id)``: whether it may draw for
+that resource at all.  The engines call ``multiplier`` only for touched
+resources and leave every other multiplier at exactly 1.0, which is
+what an untouched resource's ``multiplier`` returns without touching
+the generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +74,12 @@ class NoiseSpec:
         return self.sigma_run == 0 and self.sigma_epoch == 0 and self.transient_prob == 0
 
 
+@lru_cache(maxsize=4096)
+def _in_scope(prefixes: tuple[str, ...], resource_id: str) -> bool:
+    """Whether ``resource_id`` starts with one of ``prefixes``."""
+    return any(resource_id.startswith(p) for p in prefixes)
+
+
 def _mean_one_lognormal(rng: np.random.Generator, sigma: float) -> float:
     """A lognormal draw with mean exactly 1 (mu = -sigma^2 / 2)."""
     if sigma == 0:
@@ -84,18 +97,17 @@ class StochasticNoise:
 
     spec: NoiseSpec = field(default_factory=NoiseSpec)
     _run_level: dict[str, float] = field(default_factory=dict, repr=False)
-    _scope_cache: dict[str, bool] = field(default_factory=dict, repr=False)
 
     @property
     def epoch_length_s(self) -> float:
         return self.spec.epoch_length_s if not self.spec.quiet else math.inf
 
     def in_scope(self, resource_id: str) -> bool:
-        hit = self._scope_cache.get(resource_id)
-        if hit is None:
-            hit = any(resource_id.startswith(p) for p in self.spec.scope_prefixes)
-            self._scope_cache[resource_id] = hit
-        return hit
+        return _in_scope(self.spec.scope_prefixes, resource_id)
+
+    def touches(self, resource_id: str) -> bool:
+        """Whether :meth:`multiplier` may draw for ``resource_id``."""
+        return not self.spec.quiet and self.in_scope(resource_id)
 
     def multiplier(self, resource_id: str, epoch: int, rng: np.random.Generator) -> float:
         if self.spec.quiet or not self.in_scope(resource_id):
@@ -127,18 +139,17 @@ class SharedStateNoise:
     spec: NoiseSpec = field(default_factory=NoiseSpec)
     _run_level: float | None = field(default=None, repr=False)
     _epoch_cache: dict[int, float] = field(default_factory=dict, repr=False)
-    _scope_cache: dict[str, bool] = field(default_factory=dict, repr=False)
 
     @property
     def epoch_length_s(self) -> float:
         return self.spec.epoch_length_s if not self.spec.quiet else math.inf
 
     def in_scope(self, resource_id: str) -> bool:
-        hit = self._scope_cache.get(resource_id)
-        if hit is None:
-            hit = any(resource_id.startswith(p) for p in self.spec.scope_prefixes)
-            self._scope_cache[resource_id] = hit
-        return hit
+        return _in_scope(self.spec.scope_prefixes, resource_id)
+
+    def touches(self, resource_id: str) -> bool:
+        """Whether :meth:`multiplier` may draw for ``resource_id``."""
+        return not self.spec.quiet and self.in_scope(resource_id)
 
     def multiplier(self, resource_id: str, epoch: int, rng: np.random.Generator) -> float:
         if self.spec.quiet or not self.in_scope(resource_id):
@@ -175,6 +186,17 @@ class CompositeNoise:
     @property
     def epoch_length_s(self) -> float:
         return min(m.epoch_length_s for m in self.models)
+
+    def touches(self, resource_id: str) -> bool:
+        """True when any member may draw for ``resource_id``.
+
+        A member without ``touches`` counts as touching every resource.
+        """
+        for model in self.models:
+            touches = getattr(model, "touches", None)
+            if touches is None or touches(resource_id):
+                return True
+        return False
 
     def multiplier(self, resource_id: str, epoch: int, rng: np.random.Generator) -> float:
         value = 1.0

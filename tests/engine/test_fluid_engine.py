@@ -138,6 +138,28 @@ class TestEngineMechanics:
         result = engine.run([single_application(topo_s1, 4, ppn=8)], rep=0)
         assert set(result.resource_series) == {"ingest:storage1", "ingest:storage2"}
 
+    def test_provider_sets_are_built_once_per_node_map(self, calib_s2, topo_s2):
+        """One provider set per (node, ppn) map, reused by every repetition."""
+        engine = make_engine(calib_s2, topo_s2, noise_enabled=True)
+        eight = [single_application(topo_s2, 4, ppn=8)]
+        sixteen = [single_application(topo_s2, 4, ppn=16)]
+        first, again = engine.prepare(eight, rep=0), engine.prepare(eight, rep=1)
+        other = engine.prepare(sixteen, rep=0)
+        later = engine.prepare(eight, rep=2)
+        assert len(engine._provider_cache) == 2
+        # Reused: the same providers in the same order, in a dict of its own.
+        for prepared in (again, later):
+            assert list(prepared.providers) == list(first.providers)
+            assert all(prepared.providers[r] is p for r, p in first.providers.items())
+            assert prepared.providers is not first.providers
+        first.providers.clear()
+        assert len(engine.prepare(eight, rep=3).providers) == len(again.providers)
+        # Distinct: the client nodes' capacities follow each map's ppn.
+        client = f"client:{eight[0].nodes[0]}"
+        assert list(other.providers) == list(again.providers)
+        assert other.providers[client] != again.providers[client]
+        assert other.providers["ost:101"] is not again.providers["ost:101"]
+
     def test_ppn16_slightly_below_ppn8(self, calib_s2, topo_s2):
         engine = make_engine(calib_s2, topo_s2)
         bw8 = engine.run([single_application(topo_s2, 1, ppn=8)], rep=0).single.bandwidth_mib_s

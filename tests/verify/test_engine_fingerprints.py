@@ -6,7 +6,9 @@ change that moves one bit of engine output.  The result caches key their
 entries on ``MODEL_REVISION``, so such a change would keep serving
 results computed by the old engine.  This golden pins the full
 :func:`~repro.verify.replay.result_fingerprint` of a small corpus at
-seed 0, reps 0 and 1.  When a fingerprint changes on purpose, bump
+seed 0, reps 0 and 1, plus digests of two outputs that fingerprint
+leaves out: a noisy run's per-server throughput series and the
+bottleneck report of ``repro explain``.  When a fingerprint changes on purpose, bump
 ``MODEL_REVISION`` (``repro/scenario/spec.py``) and regenerate::
 
     PYTHONPATH=src python -m tests.verify.test_engine_fingerprints
@@ -21,10 +23,12 @@ from typing import NamedTuple
 import pytest
 
 from repro.engine.base import EngineOptions
+from repro.engine.result import RunResult
 from repro.experiments import exp_faults
 from repro.faults import FaultSchedule, target_outage
 from repro.methodology.plan import ExperimentSpec
 from repro.scenario import MODEL_REVISION
+from repro.scenario.canonical import fingerprint_of
 from repro.scenario.compile import compile_scenario
 from repro.service import SimulationService
 from repro.storage.client_model import RetryPolicy
@@ -189,6 +193,64 @@ CORPUS = (
         ),
         engine="des",
     ),
+    # A read phase builds its own provider set (the read-side SAN and
+    # storage rates) from the same engine machinery.
+    Case(
+        "read-s2-n8-stripe4",
+        ExperimentSpec(
+            "read",
+            "scenario2",
+            {"operation": "read", "stripe_count": 4, "num_nodes": 8, "ppn": 8, "total_gib": 32},
+        ),
+    ),
+    # Noise off: no draw at all, one epoch for the whole run.
+    Case(
+        "fig6-s2-n8-stripe4-noiseless",
+        _fig6("scenario2", 8, 4),
+        EngineOptions(noise_enabled=False),
+    ),
+)
+
+
+def _series_digest(result: RunResult) -> str:
+    """Digest of every observed resource's throughput series, to the last ulp."""
+    return fingerprint_of(
+        {
+            rid: [[repr(t), repr(v)] for t, v in zip(series.times, series.values)]
+            for rid, series in result.resource_series.items()
+        }
+    )
+
+
+def _explain_digest(service: SimulationService, scenario, rep: int) -> str:
+    """Digest of ``FluidEngine.explain``'s run and bottleneck report."""
+    ctx = service.context(scenario)
+    result, report = ctx.engine.explain(ctx.make_apps(), rep=rep)
+    return fingerprint_of({"result": result_fingerprint(result), "report": repr(report)})
+
+
+# Outputs the result fingerprint leaves out: the per-server throughput
+# series (Figure 9's data, here under noise) and the bottleneck report
+# of ``repro explain``.  ``(name, spec, options, max_nodes, digest)``.
+OUTPUTS = (
+    (
+        "fig9-noisy-resource-series",
+        ExperimentSpec(
+            "fig9",
+            "scenario1",
+            {"chooser": "fixed:202,203", "stripe_count": 2, "num_nodes": 8, "ppn": 8},
+        ),
+        EngineOptions(observe_servers=True),
+        8,
+        lambda service, scenario, rep: _series_digest(service.run(scenario, rep, cache=False)),
+    ),
+    (
+        "explain-fig6-s2-n8-stripe3",
+        _fig6("scenario2", 8, 3),
+        EngineOptions(),
+        32,
+        _explain_digest,
+    ),
 )
 
 
@@ -206,9 +268,24 @@ def fingerprints() -> dict[str, dict[str, str]]:
     return out
 
 
+def output_digests() -> dict[str, dict[str, str]]:
+    """``{output: {rep: digest}}`` of :data:`OUTPUTS`, executed now."""
+    service = SimulationService()
+    out: dict[str, dict[str, str]] = {}
+    for name, spec, options, max_nodes, digest in OUTPUTS:
+        scenario = compile_scenario(spec, seed=SEED, options=options, max_nodes=max_nodes)
+        out[name] = {str(rep): digest(service, scenario, rep) for rep in REPS}
+    return out
+
+
 def regenerate(path: Path = GOLDEN) -> None:
     """Rewrite the golden from the engines as they are now."""
-    data = {"model_revision": MODEL_REVISION, "seed": SEED, "cases": fingerprints()}
+    data = {
+        "model_revision": MODEL_REVISION,
+        "seed": SEED,
+        "cases": fingerprints(),
+        "outputs": output_digests(),
+    }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -231,19 +308,31 @@ def test_golden_is_for_this_model_revision(golden):
     )
     assert golden["seed"] == SEED
     assert set(golden["cases"]) == {case.name for case in CORPUS}
+    assert set(golden["outputs"]) == {name for name, *_ in OUTPUTS}
 
 
-def test_engine_output_unchanged(golden):
-    now = fingerprints()
-    changed = [
+def _changed(pinned: dict, now: dict) -> list[str]:
+    return [
         f"{name} rep {rep}"
         for name, reps in now.items()
         for rep, fp in reps.items()
-        if golden["cases"].get(name, {}).get(rep) != fp
+        if pinned.get(name, {}).get(rep) != fp
     ]
+
+
+def test_engine_output_unchanged(golden):
+    changed = _changed(golden["cases"], fingerprints())
     assert not changed, (
         f"engine output changed for {', '.join(changed)} at MODEL_REVISION "
         f"{MODEL_REVISION}; cached results would go stale: {_REGENERATE}"
+    )
+
+
+def test_series_and_bottleneck_report_unchanged(golden):
+    changed = _changed(golden["outputs"], output_digests())
+    assert not changed, (
+        f"engine output changed for {', '.join(changed)} at MODEL_REVISION "
+        f"{MODEL_REVISION}: {_REGENERATE}"
     )
 
 
